@@ -15,8 +15,7 @@
 //
 //   $ ./bench_engine_throughput [--repeat=6] [--threads=16] [--tau=100]
 //        [--xmark_scale=0.4] [--dblp_tag_scale=0.2] [--isolate=0]
-//        [--skip_warm_sweep=0] [--seed=42] [--num_shards=1]
-//        [--min_qps=0]
+//        [--skip_warm_sweep=0] [--seed=42] [--min_qps=0]
 //
 // --trace_overhead=1 runs a different experiment instead of the
 // sweeps: the same executed workload (result cache off) through two
@@ -192,8 +191,6 @@ int Main(int argc, char** argv) {
   const bool isolate = flags.GetBool("isolate", false);
   const bool skip_warm_sweep = flags.GetBool("skip_warm_sweep", false);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const size_t num_shards =
-      static_cast<size_t>(flags.GetInt("num_shards", 1));
   const double min_qps = flags.GetDouble("min_qps", 0.0);
   const bool trace_overhead = flags.GetBool("trace_overhead", false);
   const int overhead_rounds =
@@ -234,7 +231,6 @@ int Main(int argc, char** argv) {
     engine::EngineOptions opts;
     opts.num_threads = threads;
     opts.cache_results = cache_results;
-    opts.num_shards = num_shards;
     opts.rox.tau = tau;
     opts.rox.seed = seed;
     opts.trace_level = trace_level;
@@ -257,7 +253,6 @@ int Main(int argc, char** argv) {
     engine::EngineOptions opts;
     opts.num_threads = drive;  // RunBatch can actually drive 10x the cap
     opts.cache_results = false;  // every admitted query must execute
-    opts.num_shards = num_shards;
     opts.rox.tau = tau;
     opts.rox.seed = seed;
     opts.max_concurrent_queries = overload_cap;

@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
   const bool overload_only = flags.GetBool("overload", false);
   const double xmark_scale = flags.GetDouble("xmark_scale", 0.15);
   // Pool threads double as dispatch workers: provisioning more than
-  // the shard fan-out keeps the shed path responsive while a big
+  // the admission cap keeps the shed path responsive while a big
   // query holds all execution slots.
   const size_t num_threads =
       static_cast<size_t>(flags.GetInt("num_threads", 8));

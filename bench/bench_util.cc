@@ -101,25 +101,6 @@ bool Flags::GetBool(const std::string& key, bool def) const {
   return def;
 }
 
-std::vector<int64_t> Flags::GetIntList(
-    const std::string& key, const std::vector<int64_t>& def) const {
-  for (size_t i = 0; i < kv_.size(); ++i) {
-    if (kv_[i].first != key) continue;
-    used_[i] = true;
-    std::vector<int64_t> out;
-    const std::string& v = kv_[i].second;
-    size_t start = 0;
-    while (start <= v.size()) {
-      size_t comma = v.find(',', start);
-      if (comma == std::string::npos) comma = v.size();
-      out.push_back(ParseIntOrDie(key, v.substr(start, comma - start)));
-      start = comma + 1;
-    }
-    return out;
-  }
-  return def;
-}
-
 void Flags::FailOnUnused() const {
   for (size_t i = 0; i < kv_.size(); ++i) {
     if (!used_[i]) {

@@ -32,9 +32,6 @@ class Flags {
   int64_t GetInt(const std::string& key, int64_t def) const;
   bool GetBool(const std::string& key, bool def) const;
   std::string GetString(const std::string& key, std::string def) const;
-  // Comma-separated integer list, e.g. --shards=1,2,4,8.
-  std::vector<int64_t> GetIntList(const std::string& key,
-                                  const std::vector<int64_t>& def) const;
 
   // Flags that were consumed via Get* (for usage checking).
   void FailOnUnused() const;

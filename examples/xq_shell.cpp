@@ -1,6 +1,6 @@
 // Interactive XQuery shell over the concurrent query engine.
 //
-//   $ ./xq_shell [--num_shards=K] [--trace_level=off|spans|full]
+//   $ ./xq_shell [--trace_level=off|spans|full]
 //                [--deadline_ms=N] [--memory_budget_mb=N] [--json]
 //                file1.xml file2.xml ...
 //
@@ -9,11 +9,9 @@
 // (terminated by a line with just ";") and executes each through the
 // engine — so repeated queries hit the plan/weight/result cache exactly
 // as they would on a server. With no files, a demo XMark document is
-// generated as doc("xmark.xml"). --num_shards=K (default 1) turns on
-// sharded intra-query execution: each query's materialization steps
-// fan out over K corpus shards (\stats shows the per-shard row
-// counts). --trace_level=spans|full (default off) records a flight-
-// recorder trace for every query, not just \profile's (DESIGN.md §12).
+// generated as doc("xmark.xml"). --trace_level=spans|full (default
+// off) records a flight-recorder trace for every query, not just
+// \profile's (DESIGN.md §12).
 // --deadline_ms=N / --memory_budget_mb=N (default 0 = unlimited) apply
 // a per-query deadline / memory budget to every query (DESIGN.md §13):
 // a query past either limit unwinds cooperatively with
@@ -92,7 +90,6 @@ int main(int argc, char** argv) {
   using namespace rox;
   Corpus corpus;
 
-  size_t num_shards = 1;
   obs::TraceLevel trace_level = obs::TraceLevel::kOff;
   QueryLimits limits;
   bool json_output = false;
@@ -103,7 +100,6 @@ int main(int argc, char** argv) {
       json_output = true;
       continue;
     }
-    const std::string prefix = "--num_shards=";
     const std::string trace_prefix = "--trace_level=";
     const std::string deadline_prefix = "--deadline_ms=";
     const std::string budget_prefix = "--memory_budget_mb=";
@@ -125,16 +121,6 @@ int main(int argc, char** argv) {
         limits.memory_budget_bytes =
             static_cast<uint64_t>(v) * 1024 * 1024;
       }
-    } else if (arg.rfind(prefix, 0) == 0) {
-      char* end = nullptr;
-      long v = std::strtol(arg.c_str() + prefix.size(), &end, 10);
-      if (end == nullptr || *end != '\0' || v < 1 || v > 1024) {
-        std::fprintf(stderr,
-                     "invalid %s (want a positive integer <= 1024)\n",
-                     arg.c_str());
-        return 2;
-      }
-      num_shards = static_cast<size_t>(v);
     } else if (arg.rfind(trace_prefix, 0) == 0) {
       if (!obs::ParseTraceLevel(arg.c_str() + trace_prefix.size(),
                                 &trace_level)) {
@@ -180,13 +166,9 @@ int main(int argc, char** argv) {
   // \drop publish successor epochs.
   engine::EngineOptions options;
   options.num_threads = 4;
-  options.num_shards = num_shards;
   options.trace_level = trace_level;
   options.default_limits = limits;
   engine::Engine eng(std::move(corpus), options);
-  if (num_shards > 1) {
-    std::printf("sharded execution: %zu shards per document\n", num_shards);
-  }
   if (limits.deadline_ms > 0) {
     std::printf("per-query deadline: %.0f ms\n", limits.deadline_ms);
   }

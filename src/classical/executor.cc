@@ -11,7 +11,6 @@
 #include "exec/column_arena.h"
 #include "exec/result_table.h"
 #include "exec/result_view.h"
-#include "exec/sharded_exec.h"
 #include "exec/structural_join.h"
 #include "exec/value_join.h"
 #include "workload/dblp.h"
@@ -40,12 +39,8 @@ struct Partition {
 
 CanonicalPlanExecutor::CanonicalPlanExecutor(const Corpus& corpus,
                                              std::vector<DocId> docs,
-                                             const ShardedExec* sharded,
                                              bool lazy)
-    : corpus_(corpus),
-      docs_(std::move(docs)),
-      sharded_(sharded),
-      lazy_(lazy) {
+    : corpus_(corpus), docs_(std::move(docs)), lazy_(lazy) {
   author_ = corpus_.string_pool().Find("author");
   ROX_CHECK(author_ != kInvalidStringId);
   ROX_CHECK(docs_.size() == 4);
@@ -86,9 +81,8 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
     const Document& doc = corpus_.doc(d);
     auto authors_span = corpus_.element_index(d).Lookup(author_);
     std::vector<Pre> authors(authors_span.begin(), authors_span.end());
-    JoinPairs pairs = ShardedStructuralJoinPairs(
-        sharded_, d, doc, authors, StepSpec::ChildText(), nullptr, nullptr,
-        cancel_, vectorized_);
+    JoinPairs pairs = StructuralJoinPairs(doc, authors, StepSpec::ChildText(),
+                                          kNoLimit, nullptr, cancel_);
     Partition part;
     if (lazy_) {
       // The pair arrays are the view: authors as the base of a
@@ -144,10 +138,10 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
   auto join_with_unstepped = [&](Partition part, int i) -> Partition {
     DocId d = docs_[i];
     const Document& part_doc = corpus_.doc(docs_[part.docs[0]]);
-    JoinPairs pairs = ShardedValueIndexJoinPairs(
-        sharded_, part_doc, probe_col(part), corpus_.doc(d),
-        corpus_.value_index(d), ValueProbeSpec::Text(), nullptr, cancel_,
-        vectorized_);
+    JoinPairs pairs;
+    ValueIndexJoinPairsInto(part_doc, probe_col(part), corpus_.doc(d),
+                            corpus_.value_index(d), ValueProbeSpec::Text(),
+                            kNoLimit, pairs, cancel_);
     Partition out;
     if (lazy_) {
       out.view = ExtendViewWithPairs(part.view, std::move(pairs), arena);
@@ -170,9 +164,8 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
     std::vector<Pre> inner = lazy_
                                  ? y.view.DistinctColumn(y.join_value_col)
                                  : y.table.DistinctColumn(y.join_value_col);
-    JoinPairs pairs =
-        ShardedHashValueJoinPairs(sharded_, xd, probe_col(x), yd, inner,
-                                  nullptr, cancel_, vectorized_);
+    JoinPairs pairs;
+    ValueHashTable(yd, inner).ProbeInto(xd, probe_col(x), pairs, cancel_);
     Partition out;
     size_t x_cols = cols_of(x);
     if (lazy_) {

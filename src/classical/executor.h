@@ -16,7 +16,6 @@
 #include "common/status.h"
 #include "engine/governor.h"
 #include "index/corpus.h"
-#include "index/sharded_corpus.h"
 #include "obs/trace.h"
 
 namespace rox {
@@ -38,16 +37,11 @@ struct PlanRunStats {
 // over exactly 4 documents.
 class CanonicalPlanExecutor {
  public:
-  // `sharded`, when non-null and covering >1 shard, fans the author
-  // steps and value joins of every plan out per shard — the fixed
-  // *logical* plan (join order, step placement) is untouched, so the
-  // measured plan-class ratios stay comparable; only wall-clock
-  // changes. Must outlive the executor. `lazy` (the default) keeps
-  // partition intermediates as selection-vector views over a per-run
-  // arena instead of row-copying at every join/filter; join sizes and
-  // result counts are identical either way (DESIGN.md §8).
+  // `lazy` (the default) keeps partition intermediates as selection-
+  // vector views over a per-run arena instead of row-copying at every
+  // join/filter; join sizes and result counts are identical either way
+  // (DESIGN.md §8).
   CanonicalPlanExecutor(const Corpus& corpus, std::vector<DocId> docs,
-                        const ShardedExec* sharded = nullptr,
                         bool lazy = true);
 
   // Runs one (join order, step placement) plan.
@@ -73,21 +67,13 @@ class CanonicalPlanExecutor {
   // Status (DESIGN.md §13). Same lifetime contract as set_trace.
   void set_cancel(const CancellationToken* cancel) { cancel_ = cancel; }
 
-  // Kernel path for subsequent Run() calls: the vectorized batch
-  // kernels (the default) or the row-at-a-time fallback. Results are
-  // byte-identical (DESIGN.md §14); mirrors
-  // RoxOptions::vectorized_kernels.
-  void set_vectorized(bool vectorized) { vectorized_ = vectorized; }
-
  private:
   const Corpus& corpus_;
   std::vector<DocId> docs_;
   StringId author_;
-  const ShardedExec* sharded_;
   bool lazy_;
   obs::QueryTrace* trace_ = nullptr;
   const CancellationToken* cancel_ = nullptr;
-  bool vectorized_ = true;
 };
 
 // Cumulative join cardinality of a join order computed purely from the

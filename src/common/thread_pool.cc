@@ -1,8 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
-#include <atomic>
-
 namespace rox {
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -38,62 +35,6 @@ void ThreadPool::WaitIdle() {
 size_t ThreadPool::QueueDepth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
-}
-
-namespace {
-
-// State shared by the caller and the helper tasks of one ParallelFor.
-// Owned via shared_ptr: helper tasks may outlive the call (a worker can
-// pick one up after the caller already claimed every iteration).
-struct ParallelForState {
-  std::function<void(size_t)> fn;
-  size_t n = 0;
-  std::atomic<size_t> next{0};   // next unclaimed iteration
-  std::mutex mu;                 // guards done/first_error
-  std::condition_variable done_cv;
-  size_t done = 0;               // iterations finished (fn returned or threw)
-  std::exception_ptr first_error;
-
-  // Claims and runs iterations until none are left.
-  void Drain() {
-    for (;;) {
-      size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      std::exception_ptr err;
-      try {
-        fn(i);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (err != nullptr && first_error == nullptr) first_error = err;
-      if (++done == n) done_cv.notify_all();
-    }
-  }
-};
-
-}  // namespace
-
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (pool == nullptr || n == 1 || pool->num_threads() == 0) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  auto state = std::make_shared<ParallelForState>();
-  state->fn = fn;
-  state->n = n;
-  // One helper per iteration beyond the caller's own: each helper drains
-  // the counter, so extras that find no work exit immediately.
-  size_t helpers = std::min(n - 1, pool->num_threads());
-  for (size_t h = 0; h < helpers; ++h) {
-    pool->Submit([state] { state->Drain(); });
-  }
-  state->Drain();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&] { return state->done == state->n; });
-  if (state->first_error != nullptr) std::rethrow_exception(state->first_error);
 }
 
 void ThreadPool::WorkerLoop() {

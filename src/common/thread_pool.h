@@ -69,18 +69,6 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
-// Runs fn(0) .. fn(n-1) and blocks until all iterations finished.
-// Iterations are *claimed* from a shared atomic counter: helper tasks
-// enqueued on the pool and the calling thread itself all pull from it,
-// so the call makes progress even when every worker is busy — and a
-// task already running on `pool` may call ParallelFor on the same pool
-// without deadlocking (the caller simply executes every unclaimed
-// iteration itself). The first exception thrown by fn is rethrown in
-// the caller once all claimed iterations have settled. A null pool (or
-// n <= 1) runs everything inline.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn);
-
 }  // namespace rox
 
 #endif  // ROX_COMMON_THREAD_POOL_H_

@@ -98,18 +98,6 @@ std::string EngineStats::ToString() const {
         admission_running, admission_queued, peak_admission_queued);
     out += buf;
   }
-  if (num_shards > 1) {
-    std::snprintf(buf, sizeof(buf),
-                  "\nshards: %zu, %llu fan-out steps; rows per shard:",
-                  num_shards,
-                  static_cast<unsigned long long>(sharded.fanouts));
-    out += buf;
-    for (uint64_t rows : sharded.shard_rows) {
-      std::snprintf(buf, sizeof(buf), " %llu",
-                    static_cast<unsigned long long>(rows));
-      out += buf;
-    }
-  }
   return out;
 }
 
@@ -156,8 +144,6 @@ std::string EngineStats::ToJson() const {
   count("gather_count", gather_count);
   count("bytes_gathered", bytes_gathered);
   count("peak_intermediate_rows", peak_intermediate_rows);
-  count("num_shards", num_shards);
-  count("sharded_fanouts", sharded.fanouts);
   count("queries_shed", queries_shed);
   count("queries_cancelled", queries_cancelled);
   count("queries_deadline_exceeded", queries_deadline_exceeded);
@@ -182,52 +168,20 @@ Engine::Engine(std::shared_ptr<const Corpus> corpus, EngineOptions options)
   stats_.BindMetrics(options_.metrics != nullptr
                          ? options_.metrics
                          : &obs::MetricsRegistry::Global());
-  if (options_.num_shards > 1) {
-    size_t workers = options_.shard_threads > 0 ? options_.shard_threads
-                                                : options_.num_shards;
-    // An absurd shard count must not translate into an absurd thread
-    // count: std::thread construction throws on resource exhaustion
-    // and nothing above us could do better than crash. ParallelFor
-    // queues the excess iterations, so capping workers only bounds
-    // parallelism, never correctness.
-    constexpr size_t kMaxShardWorkers = 64;
-    workers = std::min(workers, kMaxShardWorkers);
-    shard_pool_ = std::make_unique<ThreadPool>(workers);
-  }
   current_epoch_.store(corpus->epoch(), std::memory_order_release);
-  state_ = MakeState(std::move(corpus), nullptr);
+  state_ = std::move(corpus);
 }
 
 Engine::~Engine() = default;
 
-std::shared_ptr<const Engine::PublishedState> Engine::MakeState(
-    std::shared_ptr<const Corpus> corpus, const ShardedCorpus* prev) {
-  auto st = std::make_shared<PublishedState>();
-  st->corpus = std::move(corpus);
-  if (options_.num_shards > 1) {
-    st->sharded =
-        prev != nullptr
-            ? std::make_shared<const ShardedCorpus>(*st->corpus, *prev,
-                                                    shard_pool_.get())
-            : std::make_shared<const ShardedCorpus>(
-                  *st->corpus, options_.num_shards, shard_pool_.get());
-    st->exec.shards = st->sharded.get();
-    st->exec.pool = shard_pool_.get();
-    st->exec.sample_shard = options_.sample_shard;
-  }
-  return st;
-}
-
-void Engine::Publish(CorpusBuilder builder, const PublishedState& base) {
+void Engine::Publish(CorpusBuilder builder) {
   const size_t added = builder.added_docs();
   const size_t removed = builder.removed_docs();
   auto next = std::make_shared<const Corpus>(std::move(builder).Build());
   const uint64_t next_epoch = next->epoch();
-  // The base epoch's sharded view seeds the incremental rebuild.
-  auto st = MakeState(std::move(next), base.sharded.get());
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    state_ = std::move(st);
+    state_ = std::move(next);
     // Inside the lock: a query that pins the new state must never
     // observe the old epoch here (it would skip its cache write-back).
     current_epoch_.store(next_epoch, std::memory_order_release);
@@ -246,8 +200,8 @@ void Engine::Publish(CorpusBuilder builder, const PublishedState& base) {
 Result<std::vector<DocId>> Engine::AddDocuments(std::vector<IngestDoc> docs) {
   if (docs.empty()) return std::vector<DocId>{};
   std::lock_guard<std::mutex> ingest(ingest_mu_);
-  auto base = Published();
-  CorpusBuilder builder(*base->corpus);
+  auto base = CurrentSnapshot();
+  CorpusBuilder builder(*base);
   std::vector<DocId> ids;
   ids.reserve(docs.size());
   for (IngestDoc& d : docs) {
@@ -256,16 +210,16 @@ Result<std::vector<DocId>> Engine::AddDocuments(std::vector<IngestDoc> docs) {
     ROX_ASSIGN_OR_RETURN(DocId id, builder.AddXml(d.xml, std::move(d.name)));
     ids.push_back(id);
   }
-  Publish(std::move(builder), *base);
+  Publish(std::move(builder));
   return ids;
 }
 
 Status Engine::RemoveDocument(std::string_view name) {
   std::lock_guard<std::mutex> ingest(ingest_mu_);
-  auto base = Published();
-  CorpusBuilder builder(*base->corpus);
+  auto base = CurrentSnapshot();
+  CorpusBuilder builder(*base);
   ROX_RETURN_IF_ERROR(builder.Remove(name));
-  Publish(std::move(builder), *base);
+  Publish(std::move(builder));
   return Status::Ok();
 }
 
@@ -402,9 +356,9 @@ Result<std::string> Engine::Explain(const std::string& query_text) {
 }
 
 Result<std::string> Engine::ExplainText(const std::string& query_text) {
-  auto st = Published();
-  const uint64_t epoch = st->corpus->epoch();
-  CorpusSnapshot snapshot(st->corpus);
+  auto pinned = CurrentSnapshot();
+  const uint64_t epoch = pinned->epoch();
+  CorpusSnapshot snapshot(pinned);
 
   // Share the plan cache (and its learned weights) so an explain after
   // real runs reports the warm estimates those runs would start from.
@@ -432,7 +386,6 @@ Result<std::string> Engine::ExplainText(const std::string& query_text) {
 
   RoxOptions rox = options_.rox;
   rox.seed = MixSeed(options_.rox.seed, next_sequence_.fetch_add(1));
-  if (st->sharded != nullptr) rox.sharded = &st->exec;
   ROX_ASSIGN_OR_RETURN(
       xq::ExplainInfo info,
       xq::ExplainXQuery(snapshot, *compiled, rox,
@@ -663,14 +616,13 @@ QueryResult Engine::ExecuteQuery(const std::string& text, uint64_t seq,
     return out;
   }
 
-  // Pin the published epoch for the whole execution: the snapshot (and
-  // the sharded view / fan-out bundle packaged with it) stays alive
-  // even if AddDocuments/RemoveDocument publish successors mid-run.
-  auto st = Published();
-  const uint64_t epoch = st->corpus->epoch();
-  CorpusSnapshot snapshot(st->corpus);
+  // Pin the published epoch for the whole execution: the snapshot stays
+  // alive even if AddDocuments/RemoveDocument publish successors mid-run.
+  auto pinned = CurrentSnapshot();
+  const uint64_t epoch = pinned->epoch();
+  CorpusSnapshot snapshot(pinned);
   out.epoch = epoch;
-  out.snapshot = st->corpus;
+  out.snapshot = pinned;
   if (trace != nullptr) {
     trace->AttrNum(root_span, "epoch", static_cast<double>(epoch));
   }
@@ -776,7 +728,6 @@ QueryResult Engine::ExecuteQuery(const std::string& text, uint64_t seq,
   rox.seed = MixSeed(options_.rox.seed, seq);
   rox.lazy_materialization =
       options_.lazy_materialization && options_.rox.lazy_materialization;
-  if (st->sharded != nullptr) rox.sharded = &st->exec;
   rox.query_trace = trace.get();
   // Hand the whole pipeline its stop signal and allocation meter: the
   // optimizer polls the token at round/edge boundaries, kernels poll it
@@ -799,8 +750,6 @@ QueryResult Engine::ExecuteQuery(const std::string& text, uint64_t seq,
                         static_cast<double>(rox_stats.gather.bytes_gathered));
       exec_span.AttrNum("arena_bytes",
                         static_cast<double>(rox_stats.arena_bytes));
-      exec_span.AttrNum("fanouts",
-                        static_cast<double>(rox_stats.sharded.fanouts));
     }
     return r;
   }();

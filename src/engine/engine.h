@@ -6,7 +6,7 @@
 //     snapshots (DESIGN.md §10): every in-flight query pins the epoch
 //     it started on via a shared_ptr CorpusSnapshot, so execution
 //     always sees one frozen corpus — the invariant every layer below
-//     (compilation, sampling, sharded fan-out) was built on — while
+//     (compilation, sampling, edge execution) was built on — while
 //     AddDocuments/RemoveDocument copy-on-write the next epoch and
 //     publish it atomically,
 //   * a fixed ThreadPool executing submitted queries,
@@ -49,7 +49,6 @@
 #include "engine/query_api.h"
 #include "engine/query_cache.h"
 #include "index/corpus.h"
-#include "index/sharded_corpus.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rox/options.h"
@@ -77,32 +76,12 @@ struct EngineOptions {
   // each epoch is immutable.
   bool cache_results = true;
 
-  // Corpus shards for parallel *intra*-query execution: every document's
-  // node-id range is split into `num_shards` contiguous pieces with
-  // their own indexes, and each full materialization step of a query
-  // fans out per shard on a dedicated shard pool. 1 (the default) is
-  // today's monolithic executor; results are identical for every value.
-  // The sharded view is rebuilt incrementally on publish: only
-  // added/changed documents re-index.
-  size_t num_shards = 1;
-
-  // Workers of the shard pool (0 = num_shards). Kept separate from the
-  // query pool so a query thread waiting on its fan-out can never
-  // starve the fan-out of workers.
-  size_t shard_threads = 0;
-
   // Late materialization (DESIGN.md §8): intermediates stay selection-
   // vector views and full row gather happens once, at the plan tail.
   // Results are byte-identical either way; off runs the eager row-
   // copying path (the differential-testing / perf baseline). Both this
   // and rox.lazy_materialization must be set for a lazy run.
   bool lazy_materialization = true;
-
-  // Which shard serves ROX Phase-1 sample draws;
-  // ShardedExec::kSampleUnion (the default) draws from the full
-  // indexes, keeping optimizer behavior identical to the unsharded
-  // engine (see index/sharded_corpus.h).
-  int sample_shard = ShardedExec::kSampleUnion;
 
   // Query flight recorder (DESIGN.md §12): kOff records nothing and
   // costs one null check per instrumentation site; kSpans captures the
@@ -166,21 +145,17 @@ class Engine {
   // The currently published epoch's corpus. The reference stays valid
   // until the next publish; callers that outlive a publish (or race
   // one) must pin via CurrentSnapshot() instead.
-  const Corpus& corpus() const { return *Published()->corpus; }
+  const Corpus& corpus() const { return *CurrentSnapshot(); }
   const EngineOptions& options() const { return options_; }
 
-  // Pins the currently published epoch.
+  // Pins the currently published epoch: nothing a running query
+  // references can be freed by a later publish.
   std::shared_ptr<const Corpus> CurrentSnapshot() const {
-    return Published()->corpus;
+    std::lock_guard<std::mutex> lock(state_mu_);
+    return state_;
   }
   uint64_t CurrentEpoch() const {
     return current_epoch_.load(std::memory_order_acquire);
-  }
-
-  // The current epoch's sharded view, or null when num_shards <= 1.
-  // Same lifetime caveat as corpus().
-  const ShardedCorpus* sharded_corpus() const {
-    return Published()->sharded.get();
   }
 
   // --- live ingestion (DESIGN.md §10) ---------------------------------------
@@ -282,7 +257,6 @@ class Engine {
   // Statistics snapshot / reset (reset also restarts the qps clock).
   EngineStats Stats() const {
     EngineStats out = stats_.Snapshot();
-    out.num_shards = options_.num_shards > 0 ? options_.num_shards : 1;
     out.epoch = CurrentEpoch();
     out.admission_running = gate_.running();
     out.admission_queued = gate_.queued();
@@ -306,29 +280,9 @@ class Engine {
   void ClearCache();
 
  private:
-  // One published epoch: the corpus, its sharded view, and the fan-out
-  // bundle pointing at both. Queries pin the whole struct, so nothing
-  // a running query references can be freed by a publish.
-  struct PublishedState {
-    std::shared_ptr<const Corpus> corpus;
-    std::shared_ptr<const ShardedCorpus> sharded;  // null when unsharded
-    ShardedExec exec;
-  };
-
-  std::shared_ptr<const PublishedState> Published() const {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    return state_;
-  }
-
-  // Builds the published bundle for `corpus`, sharding incrementally
-  // from `prev` when possible.
-  std::shared_ptr<const PublishedState> MakeState(
-      std::shared_ptr<const Corpus> corpus, const ShardedCorpus* prev);
-
   // Swaps in the next epoch built by `builder` and purges dead cache
-  // entries. Caller holds ingest_mu_ and passes the base state the
-  // builder started from (still current, since writers are serial).
-  void Publish(CorpusBuilder builder, const PublishedState& base);
+  // entries. Caller holds ingest_mu_.
+  void Publish(CorpusBuilder builder);
 
   // The execute/profile engine underneath Execute(QueryRequest).
   // `limits` null applies options_.default_limits; `client_tag` is
@@ -359,16 +313,11 @@ class Engine {
   mutable std::mutex cache_mu_;
   QueryCache cache_;
 
-  // Sharded intra-query execution (null / unused when num_shards <= 1).
-  // Declared before state_/pool_ so in-flight fan-outs drain first on
-  // teardown.
-  std::unique_ptr<ThreadPool> shard_pool_;
-
   // The published epoch, swapped atomically under state_mu_; writers
   // are serialized by ingest_mu_ (held across build + publish so
   // epochs are linear).
   mutable std::mutex state_mu_;
-  std::shared_ptr<const PublishedState> state_;
+  std::shared_ptr<const Corpus> state_;
   std::mutex ingest_mu_;
   std::atomic<uint64_t> current_epoch_{0};
 

@@ -47,16 +47,10 @@ struct EngineStats {
   uint64_t bytes_gathered = 0;
   uint64_t peak_intermediate_rows = 0;
 
-  // Sharded execution: the engine's shard count plus the fan-out step
-  // and per-shard row counters aggregated over all runs (zero/empty
-  // when num_shards <= 1).
-  size_t num_shards = 1;
-  ShardFanoutStats sharded;
-
   // Corpus versioning (DESIGN.md §10). `epoch` is the currently
-  // published epoch, re-read at snapshot time (like num_shards, it is
-  // engine state, not a counter). The publish/doc/invalidation
-  // counters accumulate since engine start or the last ResetStats.
+  // published epoch, re-read at snapshot time (it is engine state, not
+  // a counter). The publish/doc/invalidation counters accumulate since
+  // engine start or the last ResetStats.
   uint64_t epoch = 0;
   uint64_t publishes = 0;
   uint64_t docs_added = 0;
@@ -113,8 +107,7 @@ struct EngineStats {
 
   // One flat JSON object (stable keys — the server's /stats endpoint;
   // see DESIGN.md §15). Monotonic counters, gate occupancy, latency
-  // percentiles and qps; per-shard row vectors are summarized as
-  // sharded_fanouts only.
+  // percentiles and qps.
   std::string ToJson() const;
 };
 
@@ -165,7 +158,6 @@ class StatsCollector {
     m_.edges = registry->GetCounter("engine.rox.edges_executed");
     m_.gathers = registry->GetCounter("engine.gather.count");
     m_.gather_bytes = registry->GetCounter("engine.gather.bytes");
-    m_.fanouts = registry->GetCounter("engine.sharded.fanouts");
     m_.publishes = registry->GetCounter("engine.corpus.publishes");
     m_.docs_added = registry->GetCounter("engine.corpus.docs_added");
     m_.docs_removed = registry->GetCounter("engine.corpus.docs_removed");
@@ -209,14 +201,12 @@ class StatsCollector {
       counters_.bytes_gathered += r.rox->gather.bytes_gathered;
       counters_.peak_intermediate_rows = std::max(
           counters_.peak_intermediate_rows, r.rox->peak_intermediate_rows);
-      counters_.sharded.Merge(r.rox->sharded);
       if (m_.edges != nullptr) {
         m_.edges->Inc(r.rox->edges_executed);
         m_.warm_weights->Inc(r.rox->warm_started_weights);
         if (r.rox->warm_started_weights > 0) m_.warm_runs->Inc();
         m_.gathers->Inc(r.rox->gather.gather_count);
         m_.gather_bytes->Inc(r.rox->gather.bytes_gathered);
-        m_.fanouts->Inc(r.rox->sharded.fanouts);
         m_.sampling_ms->Add(r.rox->sampling_time.TotalMillis());
         m_.execution_ms->Add(r.rox->execution_time.TotalMillis());
       }
@@ -342,7 +332,6 @@ class StatsCollector {
     obs::Counter* edges = nullptr;
     obs::Counter* gathers = nullptr;
     obs::Counter* gather_bytes = nullptr;
-    obs::Counter* fanouts = nullptr;
     obs::Counter* publishes = nullptr;
     obs::Counter* docs_added = nullptr;
     obs::Counter* docs_removed = nullptr;

@@ -11,10 +11,8 @@
 //                     is shed immediately with kResourceExhausted
 //
 // The token is plumbed as a raw const pointer (like
-// RoxOptions::query_trace): one token per query, shared read-mostly by
-// every lane of a sharded fan-out — the first lane to observe a trip
-// stops, and since all lanes poll the same token the siblings stop on
-// their next check without any inter-lane signalling.
+// RoxOptions::query_trace): one token per query, polled read-only by
+// every kernel the query runs.
 
 #ifndef ROX_ENGINE_GOVERNOR_H_
 #define ROX_ENGINE_GOVERNOR_H_

@@ -1,14 +1,13 @@
-// Shared machinery of the vectorized (batched) kernel paths
-// (DESIGN.md §14).
+// Shared machinery of the batched join kernels (DESIGN.md §14).
 //
-// The vectorized joins emit whole match spans per outer row — index
+// The batched joins emit whole match spans per outer row — index
 // runs, hash-table payload groups, range-join prefixes/suffixes —
 // instead of sinking one pair at a time. BatchEmitter centralizes the
 // two protocols every emission must honor regardless of granularity:
 // the limit+1 sentinel cut-off (§2.3) and the amortized output-growth
 // cancellation poll (DESIGN.md §13). Both are enforced so that, for
-// any limit and an un-tripped token, a batched kernel's output is
-// byte-identical to its row-at-a-time fallback.
+// any limit and an un-tripped token, a kernel's output is exactly the
+// first limit+1 pairs of its unlimited run, grouped by outer row.
 
 #ifndef ROX_EXEC_KERNEL_BATCH_H_
 #define ROX_EXEC_KERNEL_BATCH_H_
@@ -24,7 +23,7 @@
 
 namespace rox {
 
-// Batch width of the vectorized kernel paths: small enough that the
+// Batch width of the batched kernels: small enough that the
 // per-batch value arrays (ids + doubles + row bookkeeping) stay in L1,
 // large enough to amortize the per-batch governance poll.
 inline constexpr size_t kKernelBatchRows = 1024;
@@ -53,19 +52,12 @@ struct PreColumn {
     return sel != nullptr ? base[sel[i]] : base[i];
   }
 
-  // The rows [off, off+len) as a PreColumn (positional, like
-  // span::subspan — the chunked fan-outs cut lanes with this).
-  PreColumn Sub(size_t off, size_t len) const {
-    return sel != nullptr ? PreColumn{base, sel + off, len}
-                          : PreColumn{base + off, nullptr, len};
-  }
-
   static PreColumn FromSpan(std::span<const Pre> s) {
     return {s.data(), nullptr, s.size()};
   }
 };
 
-// Emission state of one vectorized kernel run over a reused JoinPairs.
+// Emission state of one batched kernel run over a reused JoinPairs.
 class BatchEmitter {
  public:
   enum class Stop {
@@ -138,7 +130,7 @@ class BatchEmitter {
 
   // Amortized governance poll on output growth: once per
   // kCancelCheckRows produced pairs, crossing-based so bulk appends of
-  // any size poll at the same cadence as the row-at-a-time sinks. The
+  // any size poll at the same cadence as single-pair pushes. The
   // first poll waits a full interval (DESIGN.md §13).
   Stop PollIfDue() {
     if (out_.right_nodes.size() < next_poll_) return Stop::kNone;

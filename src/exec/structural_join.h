@@ -60,17 +60,14 @@ struct StepSpec {
 // non-null it accelerates name-tested descendant/following/preceding
 // steps with range lookups. A non-null `cancel` token is polled once per
 // kCancelCheckRows pairs and stops the join through the truncation
-// protocol (DESIGN.md §13). The vectorized default (DESIGN.md §14)
-// processes the context in kKernelBatchRows batches and bulk-appends
-// the contiguous index-range matches; `vectorized = false` selects the
-// original row-at-a-time fallback (byte-identical output for any limit
-// and an un-tripped token).
+// protocol (DESIGN.md §13). The kernel (DESIGN.md §14) processes the
+// context in kKernelBatchRows batches and bulk-appends the contiguous
+// index-range matches.
 JoinPairs StructuralJoinPairs(const Document& doc,
                               std::span<const Pre> context,
                               const StepSpec& step, uint64_t limit = kNoLimit,
                               const ElementIndex* index = nullptr,
-                              const CancellationToken* cancel = nullptr,
-                              bool vectorized = true);
+                              const CancellationToken* cancel = nullptr);
 
 // Allocation-free variant: clears and refills `out`, reusing its
 // buffers' capacity. Hot callers (the sampled-execution loops) keep one
@@ -79,16 +76,14 @@ void StructuralJoinPairsInto(const Document& doc,
                              std::span<const Pre> context,
                              const StepSpec& step, uint64_t limit,
                              const ElementIndex* index, JoinPairs& out,
-                             const CancellationToken* cancel = nullptr,
-                             bool vectorized = true);
+                             const CancellationToken* cancel = nullptr);
 
 // Selection-vector-aware entry point (lazy views join without a
 // gather).
 void StructuralJoinPairsInto(const Document& doc, const PreColumn& context,
                              const StepSpec& step, uint64_t limit,
                              const ElementIndex* index, JoinPairs& out,
-                             const CancellationToken* cancel = nullptr,
-                             bool vectorized = true);
+                             const CancellationToken* cancel = nullptr);
 
 // Distinct-result staircase join: `context` must be duplicate-free and
 // sorted by pre. Returns the distinct result node set in document order.

@@ -13,19 +13,13 @@
 //  * MergeValueJoinPairs — merge join over inputs sorted by value id
 //    (cost min(|C|,|S|) + |R| when the inner is pre-sorted).
 //
-// Vectorized execution (DESIGN.md §14): every probe kernel has two
-// paths selected by its trailing `vectorized` flag. The vectorized
-// default processes the outer input in fixed-size batches of
-// kKernelBatchRows rows — one value pre-pass materializes NodeValue
-// (and the cached numeric interpretation) for the whole batch into
-// flat arrays, then the probe/emission loop runs over those arrays
-// with bulk appends wherever the match set is a contiguous span
-// (index runs, hash-table payload groups, range-join prefixes or
-// suffixes). The `false` path is the original row-at-a-time loop,
-// retained as the differential fallback (RoxOptions::vectorized_
-// kernels). Both paths emit byte-identical pairs, truncation flags and
-// outer_consumed for every limit; only cancellation *stop points* may
-// differ (a tripped result is discarded by the caller either way).
+// Batched execution (DESIGN.md §14): every probe kernel processes the
+// outer input in fixed-size batches of kKernelBatchRows rows — one
+// value pre-pass materializes NodeValue (and the cached numeric
+// interpretation) for the whole batch into flat arrays, then the
+// probe/emission loop runs over those arrays with bulk appends
+// wherever the match set is a contiguous span (index runs, hash-table
+// payload groups, range-join prefixes or suffixes).
 
 #ifndef ROX_EXEC_VALUE_JOIN_H_
 #define ROX_EXEC_VALUE_JOIN_H_
@@ -76,8 +70,7 @@ JoinPairs ValueIndexJoinPairs(const Document& outer_doc,
                               const ValueIndex& inner_index,
                               const ValueProbeSpec& spec,
                               uint64_t limit = kNoLimit,
-                              const CancellationToken* cancel = nullptr,
-                              bool vectorized = true);
+                              const CancellationToken* cancel = nullptr);
 
 // Allocation-free variant: clears and refills `out`, reusing its
 // buffers' capacity (see StructuralJoinPairsInto).
@@ -87,8 +80,7 @@ void ValueIndexJoinPairsInto(const Document& outer_doc,
                              const ValueIndex& inner_index,
                              const ValueProbeSpec& spec, uint64_t limit,
                              JoinPairs& out,
-                             const CancellationToken* cancel = nullptr,
-                             bool vectorized = true);
+                             const CancellationToken* cancel = nullptr);
 
 // Selection-vector-aware entry point (lazy views probe without a
 // gather).
@@ -98,8 +90,7 @@ void ValueIndexJoinPairsInto(const Document& outer_doc,
                              const ValueIndex& inner_index,
                              const ValueProbeSpec& spec, uint64_t limit,
                              JoinPairs& out,
-                             const CancellationToken* cancel = nullptr,
-                             bool vectorized = true);
+                             const CancellationToken* cancel = nullptr);
 
 // Hash equi-join: builds value -> inner positions, probes with outer.
 // Pairs reference outer rows and inner *nodes*.
@@ -107,12 +98,11 @@ JoinPairs HashValueJoinPairs(const Document& outer_doc,
                              std::span<const Pre> outer,
                              const Document& inner_doc,
                              std::span<const Pre> inner,
-                             const CancellationToken* cancel = nullptr,
-                             bool vectorized = true);
+                             const CancellationToken* cancel = nullptr);
 
-// The build side of the hash equi-join, split out so a sharded
-// execution can build the table once and probe it from several threads
-// concurrently (Probe is const and allocation-free on the table).
+// The build side of the hash equi-join, split out so a caller can
+// build the table once and probe it many times (Probe is const and
+// allocation-free on the table).
 //
 // The table is a flat open-addressing map (exec/flat_hash.h) over a
 // payload array holding each value's matching nodes contiguously in
@@ -134,20 +124,17 @@ class ValueHashTable {
   // Probes with `outer`; identical to the probe loop of
   // HashValueJoinPairs. Emitted left_rows index into `outer`.
   JoinPairs Probe(const Document& outer_doc, std::span<const Pre> outer,
-                  const CancellationToken* cancel = nullptr,
-                  bool vectorized = true) const;
+                  const CancellationToken* cancel = nullptr) const;
 
   // Allocation-free probe into a caller-reused buffer.
   void ProbeInto(const Document& outer_doc, std::span<const Pre> outer,
                  JoinPairs& out,
-                 const CancellationToken* cancel = nullptr,
-                 bool vectorized = true) const;
+                 const CancellationToken* cancel = nullptr) const;
 
   // Selection-vector-aware probe (lazy views probe without a gather).
   void ProbeInto(const Document& outer_doc, const PreColumn& outer,
                  JoinPairs& out,
-                 const CancellationToken* cancel = nullptr,
-                 bool vectorized = true) const;
+                 const CancellationToken* cancel = nullptr) const;
 
  private:
   FlatRunMap<StringId, kInvalidStringId> by_value_;  // a = offset, b = len
@@ -167,23 +154,13 @@ class ValueHashTable {
 //    numeric projection / all-node lists: zero-investment w.r.t. the
 //    outer input, hence usable for cut-off sampling (the theta
 //    counterpart of ValueIndexJoinPairs).
-//  * ThetaRun::Build + ThetaRunJoinPairsInto — sorts a materialized
-//    inner node list once (|inner| log |inner|) and probes the private
-//    run; preferable when the inner vertex table has been semi-join-
-//    reduced far below the full index run. Probing is const and
-//    allocation-free on the run, so sharded lanes share one build.
+//  * SortThetaJoinPairs — sorts a materialized inner node list once
+//    (|inner| log |inner|) and probes the private run; preferable when
+//    the inner vertex table has been semi-join-reduced far below the
+//    full index run.
 // Per outer row both sources emit the identical sequence — ascending
 // (value, pre) for range operators, document order for `!=` — so every
 // execution mode produces the same pairs after table filtering.
-
-// Prebuilt probe target over a materialized inner node list.
-struct ThetaRun {
-  std::vector<ValueIndex::NumEntry> numeric;  // (value, pre) ascending
-  std::vector<Pre> valued;  // nodes with any value, document order
-
-  static ThetaRun Build(const Document& inner_doc,
-                        std::span<const Pre> inner);
-};
 
 // Index nested-loop theta join through the inner document's value
 // index; `op` must not be kEq (equality goes through the hash lookups
@@ -194,45 +171,34 @@ void ValueIndexThetaJoinPairsInto(const Document& outer_doc,
                                   const ValueIndex& inner_index,
                                   const ValueProbeSpec& spec, CmpOp op,
                                   uint64_t limit, JoinPairs& out,
-                                  const CancellationToken* cancel = nullptr,
-                                  bool vectorized = true);
+                                  const CancellationToken* cancel = nullptr);
 JoinPairs ValueIndexThetaJoinPairs(const Document& outer_doc,
                                    std::span<const Pre> outer,
                                    const Document& inner_doc,
                                    const ValueIndex& inner_index,
                                    const ValueProbeSpec& spec, CmpOp op,
                                    uint64_t limit = kNoLimit,
-                                   const CancellationToken* cancel = nullptr,
-                                   bool vectorized = true);
+                                   const CancellationToken* cancel = nullptr);
 
-// Theta probe against a prebuilt run (see ThetaRun::Build).
-void ThetaRunJoinPairsInto(const Document& outer_doc,
-                           std::span<const Pre> outer,
-                           const Document& inner_doc, const ThetaRun& run,
-                           CmpOp op, uint64_t limit, JoinPairs& out,
-                           const CancellationToken* cancel = nullptr,
-                           bool vectorized = true);
-
-// One-shot convenience: Build + probe over a materialized inner list.
+// Sort-based theta join over a materialized inner node list; same
+// `op` and cut-off `limit` contract as ValueIndexThetaJoinPairs.
 JoinPairs SortThetaJoinPairs(const Document& outer_doc,
                              std::span<const Pre> outer,
                              const Document& inner_doc,
                              std::span<const Pre> inner, CmpOp op,
                              uint64_t limit = kNoLimit,
-                             const CancellationToken* cancel = nullptr,
-                             bool vectorized = true);
+                             const CancellationToken* cancel = nullptr);
 
 // Merge equi-join over inputs that the caller pre-sorted with
 // SortByValueId. Produces the same pair multiset as the hash join.
-// The vectorized path materializes both sides' value ids once (one
-// NodeValue per input row instead of one per comparison) and
-// bulk-copies each equal-value group's cross product.
+// Materializes both sides' value ids once (one NodeValue per input row
+// instead of one per comparison) and bulk-copies each equal-value
+// group's cross product.
 JoinPairs MergeValueJoinPairs(const Document& outer_doc,
                               std::span<const Pre> outer_sorted,
                               const Document& inner_doc,
                               std::span<const Pre> inner_sorted,
-                              const CancellationToken* cancel = nullptr,
-                              bool vectorized = true);
+                              const CancellationToken* cancel = nullptr);
 
 // Sorts node list by (value id, pre); nodes without a value sort last
 // and never join. Decorate-sort-undecorate: one NodeValue per node,

@@ -91,8 +91,7 @@ class Corpus {
   }
 
   // The shared document pointer of a slot (null for tombstones / out of
-  // range). Pointer identity across epochs means "unchanged document" —
-  // the test ShardedCorpus's incremental rebuild relies on.
+  // range). Pointer identity across epochs means "unchanged document".
   const Document* DocPtrOrNull(DocId id) const {
     return id < docs_.size() ? docs_[id].get() : nullptr;
   }

@@ -4,11 +4,10 @@
 
 namespace rox {
 
-ElementIndex::ElementIndex(const Document& doc, Pre lo, Pre hi) {
+ElementIndex::ElementIndex(const Document& doc) {
   const auto& kinds = doc.kinds();
   const auto& names = doc.name_ids();
-  hi = std::min(hi, doc.NodeCount());
-  for (Pre p = lo; p < hi; ++p) {
+  for (Pre p = 0; p < doc.NodeCount(); ++p) {
     StringId q = names[p];
     if (kinds[p] == NodeKind::kElem) {
       if (q >= by_name_.size()) by_name_.resize(q + 1);

@@ -21,12 +21,8 @@ namespace rox {
 
 class ElementIndex {
  public:
-  // Builds the index with one scan over `doc`. The optional [lo, hi)
-  // bound restricts the index to nodes with pre in that range — the
-  // shard-local indexes of a ShardedCorpus are built this way; the
-  // defaults cover the whole document.
-  explicit ElementIndex(const Document& doc, Pre lo = 0,
-                        Pre hi = kInvalidPre);
+  // Builds the index with one scan over `doc`.
+  explicit ElementIndex(const Document& doc);
 
   // All elements named `q`, in document order. Empty span if none.
   std::span<const Pre> Lookup(StringId q) const;

@@ -39,10 +39,9 @@ CmpOp SwapCmp(CmpOp op) {
   return op;
 }
 
-ValueIndex::ValueIndex(const Document& doc, Pre lo, Pre hi) {
+ValueIndex::ValueIndex(const Document& doc) {
   const StringPool& pool = doc.pool();
-  hi = std::min(hi, doc.NodeCount());
-  for (Pre p = lo; p < hi; ++p) {
+  for (Pre p = 0; p < doc.NodeCount(); ++p) {
     NodeKind k = doc.Kind(p);
     if (k == NodeKind::kText) {
       ++text_node_count_;

@@ -65,10 +65,7 @@ class ValueIndex {
   // Builds the index with one scan over `doc`. Element "content" is not
   // indexed directly; equality on element content goes through the
   // element's text child (as the paper's Join Graph vertices do).
-  // The optional [lo, hi) bound restricts the index to nodes with pre
-  // in that range (shard-local indexes); the defaults cover the whole
-  // document.
-  explicit ValueIndex(const Document& doc, Pre lo = 0, Pre hi = kInvalidPre);
+  explicit ValueIndex(const Document& doc);
 
   // --- equality lookups (hash-based) ------------------------------------
 

@@ -235,14 +235,7 @@ std::string QueryTrace::ToJson() const {
     AppendNum(&out, e.card_v1);
     out.append(",\"card_v2\":");
     AppendNum(&out, e.card_v2);
-    out.append(",\"fanout_lanes\":");
-    AppendNum(&out, static_cast<double>(e.fanout_lanes));
-    out.append(",\"lane_rows\":[");
-    for (size_t l = 0; l < e.lane_rows.size(); ++l) {
-      if (l > 0) out.push_back(',');
-      AppendNum(&out, static_cast<double>(e.lane_rows[l]));
-    }
-    out.append("],\"sample_calls\":");
+    out.append(",\"sample_calls\":");
     AppendNum(&out, static_cast<double>(e.sample_calls));
     out.append(",\"resamples\":");
     AppendNum(&out, static_cast<double>(e.resamples));
@@ -298,10 +291,6 @@ std::string QueryTrace::ToTree() const {
             out.append(" drift=");
             AppendNum(&out, e.observed / e.estimated);
             out.push_back('x');
-          }
-          if (e.fanout_lanes > 0) {
-            out.append(" lanes=");
-            AppendNum(&out, static_cast<double>(e.fanout_lanes));
           }
           if (e.sample_calls > 0) {
             out.append(" sample_calls=");

@@ -5,8 +5,8 @@
 // start/duration and the recording thread id — plus a flat list of
 // per-edge payloads (EdgeTrace) recording what ROX decided at run time:
 // the chosen edge, the kernel that executed it, the estimated (sampled)
-// vs. observed cardinality, re-sampling and cut-off events, shard
-// fan-out widths, and gather/arena byte counts. The span taxonomy is
+// vs. observed cardinality, re-sampling and cut-off events, and
+// gather/arena byte counts. The span taxonomy is
 //
 //   query                     one per Engine::Execute
 //     cache_lookup            plan/result cache provenance (attrs)
@@ -23,10 +23,9 @@
 //       plan_tail             project/distinct/sort/project
 //
 // Ownership and threading: a trace belongs to exactly one query and is
-// recorded from the query's thread only — shard fan-out workers never
-// touch it (their contribution is recorded as fan-out width payloads by
-// the query thread). There is no lock anywhere; cost when tracing is
-// off is a single null check per instrumentation site.
+// recorded from the query's thread only. There is no lock anywhere;
+// cost when tracing is off is a single null check per instrumentation
+// site.
 
 #ifndef ROX_OBS_TRACE_H_
 #define ROX_OBS_TRACE_H_
@@ -79,8 +78,6 @@ struct EdgeTrace {
   double observed = -1;     // |R_e| after execution
   double card_v1 = -1;      // endpoint cards after semi-join reduction
   double card_v2 = -1;
-  uint64_t fanout_lanes = 0;  // shard fan-out width (0: sequential)
-  std::vector<uint64_t> lane_rows;
   // kFull only: cut-off sampled executions of this edge observed while
   // its span (or the whole run, for pre-execution sampling) was live.
   uint64_t sample_calls = 0;

@@ -1,7 +1,6 @@
 #include "rox/optimizer.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/check.h"
 #include "common/str_util.h"
@@ -41,10 +40,6 @@ Status RoxOptimizer::ExecutePath(const std::vector<EdgeId>& path) {
       if (state_->Executed(pending[i])) continue;
       if (!has_materialized_end(pending[i])) continue;
       double w = state_->EstimateCardinality(pending[i]);
-      if (options_.trace) {
-        std::fprintf(stderr, "[rox]   path candidate %s w=%.0f\n",
-                     graph_.EdgeLabel(pending[i]).c_str(), w);
-      }
       if (best == pending.size() || (w >= 0 && (best_w < 0 || w < best_w))) {
         best = i;
         best_w = w;
@@ -99,15 +94,6 @@ Status RoxOptimizer::RunLoop() {
     // segment (the kernels poll inside edge executions too).
     if (options_.cancel != nullptr) {
       ROX_RETURN_IF_ERROR(options_.cancel->Check());
-    }
-    if (options_.trace) {
-      std::fprintf(stderr, "[rox] weights:");
-      for (EdgeId e = 0; e < graph_.EdgeCount(); ++e) {
-        if (state_->Executed(e)) continue;
-        std::fprintf(stderr, "  %s=%.0f", graph_.EdgeLabel(e).c_str(),
-                     state_->estate(e).weight);
-      }
-      std::fprintf(stderr, "\n");
     }
     std::vector<EdgeId> path;
     if (options_.enable_chain_sampling) {

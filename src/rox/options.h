@@ -16,7 +16,6 @@ class QueryTrace;
 
 class CancellationToken;
 class MemoryBudget;
-struct ShardedExec;
 
 struct RoxOptions {
   // Sample size τ. The paper's default (§3, Phase 1) is 100; Figure 8
@@ -71,14 +70,6 @@ struct RoxOptions {
   bool use_warm_start = true;
   const std::vector<double>* warm_edge_weights = nullptr;
 
-  // Sharded intra-query execution (see index/sharded_corpus.h). When
-  // non-null and covering >1 shard, every full materialization step
-  // fans out per shard on the bundle's pool and Phase-1 sample draws
-  // go to the bundle's designated sample shard. Null (the default)
-  // executes exactly as the unsharded paper prototype. Results are
-  // identical either way; only wall-clock time changes.
-  const ShardedExec* sharded = nullptr;
-
   // Late materialization (DESIGN.md §8): edge executions and the final
   // assembly keep intermediates as selection-vector views over arena-
   // backed base columns, and full row gather happens once, at the plan
@@ -88,20 +79,9 @@ struct RoxOptions {
   // bench_materialization.
   bool lazy_materialization = true;
 
-  // Vectorized batch kernels (DESIGN.md §14): join kernels process the
-  // outer input in fixed-size batches with a value pre-pass and bulk
-  // span emission instead of row-at-a-time probing. Results are
-  // byte-identical either way — the flag exists as the differential-
-  // testing fallback and the perf-ablation baseline, like
-  // lazy_materialization above.
-  bool vectorized_kernels = true;
-
   // Seed for all sampling randomness; a fixed seed makes runs exactly
   // reproducible.
   uint64_t seed = 0x9e3779b9;
-
-  // Print per-decision traces to stderr.
-  bool trace = false;
 
   // Per-query flight recorder (obs/trace.h). When non-null, the
   // optimizer and state record spans and per-edge payloads into it —

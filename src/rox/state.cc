@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/check.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "exec/value_join.h"
 
 namespace rox {
@@ -32,13 +30,11 @@ RoxState::RoxState(CorpusSnapshot snapshot, const JoinGraph& graph,
 
 // --- index access -----------------------------------------------------------
 
-namespace {
-
-// One vertex's index lookup against a given pair of indexes (the full
-// per-document ones, or one shard's).
-Result<std::vector<Pre>> LookupVertex(const Vertex& vx, const Document& doc,
-                                      const ElementIndex& eidx,
-                                      const ValueIndex& vidx) {
+Result<std::vector<Pre>> RoxState::IndexLookup(VertexId v) const {
+  const Vertex& vx = graph_.vertex(v);
+  const Document& doc = corpus_.doc(vx.doc);
+  const ElementIndex& eidx = corpus_.element_index(vx.doc);
+  const ValueIndex& vidx = corpus_.value_index(vx.doc);
   switch (vx.type) {
     case VertexType::kRoot:
       return std::vector<Pre>{0};
@@ -73,61 +69,6 @@ Result<std::vector<Pre>> LookupVertex(const Vertex& vx, const Document& doc,
     }
   }
   return Status::Internal("unhandled vertex type in IndexLookup");
-}
-
-}  // namespace
-
-Result<std::vector<Pre>> RoxState::IndexLookup(VertexId v) const {
-  const Vertex& vx = graph_.vertex(v);
-  const Document& doc = corpus_.doc(vx.doc);
-  const ShardedExec* ex = Sharded();
-  if (ex == nullptr || vx.type == VertexType::kRoot) {
-    return LookupVertex(vx, doc, corpus_.element_index(vx.doc),
-                        corpus_.value_index(vx.doc));
-  }
-  // Per-shard lookups concatenate to exactly the full lookup: shard
-  // ranges are contiguous and each per-shard list is sorted.
-  const ShardedCorpus& sc = *ex->shards;
-  size_t k = sc.num_shards();
-  std::vector<std::vector<Pre>> parts(k);
-  std::vector<Status> statuses(k, Status::Ok());
-  ParallelFor(ex->pool, k, [&](size_t s) {
-    auto part = LookupVertex(vx, doc, sc.element_index(vx.doc, s),
-                             sc.value_index(vx.doc, s));
-    if (part.ok()) {
-      parts[s] = std::move(*part);
-    } else {
-      statuses[s] = part.status();
-    }
-  });
-  std::vector<Pre> out;
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  out.reserve(total);
-  for (size_t s = 0; s < k; ++s) {
-    ROX_RETURN_IF_ERROR(statuses[s]);
-    out.insert(out.end(), parts[s].begin(), parts[s].end());
-  }
-  return out;
-}
-
-const ElementIndex& RoxState::SamplingElementIndex(DocId doc) const {
-  const ShardedExec* ex = Sharded();
-  if (ex == nullptr || ex->sample_shard < 0 ||
-      static_cast<size_t>(ex->sample_shard) >= ex->shards->num_shards()) {
-    return corpus_.element_index(doc);
-  }
-  return ex->shards->element_index(doc,
-                                   static_cast<size_t>(ex->sample_shard));
-}
-
-const ValueIndex& RoxState::SamplingValueIndex(DocId doc) const {
-  const ShardedExec* ex = Sharded();
-  if (ex == nullptr || ex->sample_shard < 0 ||
-      static_cast<size_t>(ex->sample_shard) >= ex->shards->num_shards()) {
-    return corpus_.value_index(doc);
-  }
-  return ex->shards->value_index(doc, static_cast<size_t>(ex->sample_shard));
 }
 
 double RoxState::IndexCount(VertexId v) const {
@@ -217,14 +158,6 @@ void RoxState::InitializeSamplesAndWeights() {
     const Vertex& vx = graph_.vertex(v);
     if (!vx.IndexSelectable()) continue;
     VertexState& vs = vertices_[v];
-    // Sample draws go to the designated sample shard (the full indexes
-    // by default); cardinalities always come from the full indexes so
-    // the w(e) extrapolation card(v) * |sample result| / |S(v)| stays
-    // exact. When a contiguous sample shard holds no node of a kind
-    // that clusters elsewhere in the document, fall back to a full-
-    // index draw rather than leaving the vertex unsampled.
-    const ElementIndex& seidx = SamplingElementIndex(vx.doc);
-    const ValueIndex& svidx = SamplingValueIndex(vx.doc);
     const ElementIndex& eidx = corpus_.element_index(vx.doc);
     const ValueIndex& vidx = corpus_.value_index(vx.doc);
     switch (vx.type) {
@@ -233,20 +166,14 @@ void RoxState::InitializeSamplesAndWeights() {
         vs.card = 1.0;
         break;
       case VertexType::kElement:
-        vs.sample = seidx.Sample(vx.name, options_.tau, rng_);
+        vs.sample = eidx.Sample(vx.name, options_.tau, rng_);
         vs.card = static_cast<double>(eidx.Count(vx.name));
-        if (vs.sample.empty() && vs.card > 0) {
-          vs.sample = eidx.Sample(vx.name, options_.tau, rng_);
-        }
         break;
       case VertexType::kText:
         if (vx.pred.kind == ValuePredicate::Kind::kEquals) {
-          vs.sample = svidx.SampleText(vx.pred.equals, options_.tau, rng_);
+          vs.sample = vidx.SampleText(vx.pred.equals, options_.tau, rng_);
           vs.card =
               static_cast<double>(vidx.TextLookup(vx.pred.equals).size());
-          if (vs.sample.empty() && vs.card > 0) {
-            vs.sample = vidx.SampleText(vx.pred.equals, options_.tau, rng_);
-          }
         } else {
           // Range-/inequality-/disjunction-restricted text vertex: the
           // index materializes the lookup anyway; keep it as T(v). A
@@ -257,11 +184,8 @@ void RoxState::InitializeSamplesAndWeights() {
         break;
       case VertexType::kAttribute:
         if (vx.pred.kind == ValuePredicate::Kind::kNone) {
-          vs.sample = seidx.SampleAttr(vx.name, options_.tau, rng_);
+          vs.sample = eidx.SampleAttr(vx.name, options_.tau, rng_);
           vs.card = static_cast<double>(eidx.CountAttr(vx.name));
-          if (vs.sample.empty() && vs.card > 0) {
-            vs.sample = eidx.SampleAttr(vx.name, options_.tau, rng_);
-          }
         } else {
           if (!EnsureTable(v).ok()) return;
         }
@@ -392,8 +316,7 @@ EdgeSample RoxState::SampleEdgeFrom(EdgeId e, VertexId from,
                                   ? &corpus_.element_index(tx.doc)
                                   : nullptr;
     StructuralJoinPairsInto(target_doc, input, StepSpecFrom(e, from), limit,
-                            idx, pairs, options_.cancel,
-                            options_.vectorized_kernels);
+                            idx, pairs, options_.cancel);
   } else {
     const Vertex& fx = graph_.vertex(from);
     const Document& from_doc = corpus_.doc(fx.doc);
@@ -404,15 +327,13 @@ EdgeSample RoxState::SampleEdgeFrom(EdgeId e, VertexId from,
     if (cmp == CmpOp::kEq) {
       ValueIndexJoinPairsInto(from_doc, input, target_doc,
                               corpus_.value_index(tx.doc), spec, limit,
-                              pairs, options_.cancel,
-                              options_.vectorized_kernels);
+                              pairs, options_.cancel);
     } else {
       // Theta edges sample through the index's sorted runs — still
       // zero-investment w.r.t. the input side (DESIGN.md §11).
       ValueIndexThetaJoinPairsInto(from_doc, input, target_doc,
                                    corpus_.value_index(tx.doc), spec, cmp,
-                                   limit, pairs, options_.cancel,
-                                   options_.vectorized_kernels);
+                                   limit, pairs, options_.cancel);
     }
   }
   FilterPairsForVertex(target, pairs);
@@ -461,7 +382,6 @@ Status RoxState::ExecuteEdge(EdgeId e) {
     // w(e) as last sampled before the decision to execute — the
     // "estimated cardinality" half of the drift payload.
     et->estimated = edges_[e].weight;
-    stats_.sharded.ResetLastFanout();
   }
   last_kernel_ = "";
   Status executed = Status::Ok();
@@ -479,8 +399,6 @@ Status RoxState::ExecuteEdge(EdgeId e) {
   if (et != nullptr) {
     et->kernel = last_kernel_;
     et->observed = static_cast<double>(edges_[e].ResultRows());
-    et->fanout_lanes = stats_.sharded.last_lanes;
-    et->lane_rows = stats_.sharded.last_lane_rows;
   }
   UpdateAfterExecution(e);
   if (et != nullptr) {
@@ -543,21 +461,24 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
   const bool lazy = options_.lazy_materialization;
   const size_t ctx_col = (ctx == v1) ? 0 : 1;
 
-  // Shared tail of both representations. Lazy: filter each lane, adopt
-  // the context table as an arena base column (zero-copy; the vertex
-  // table is about to be replaced by the semi-join reduction anyway)
-  // and flatten the lanes into a view. Eager: merge the lanes (the
-  // pre-view code path, byte- and cost-identical) and row-copy R_e.
-  auto finish = [&](ShardedJoinParts&& parts) -> Status {
+  // Shared tail of both representations. Lazy: adopt the context table
+  // as an arena base column (zero-copy; the vertex table is about to be
+  // replaced by the semi-join reduction anyway) selected by the pairs'
+  // left_rows, and the matched nodes as a direct column — the pair
+  // arrays ARE the view, no column is row-copied. Eager: row-copy R_e.
+  auto finish = [&](JoinPairs&& pairs) -> Status {
+    FilterPairsForVertex(tgt, pairs);
     if (lazy) {
-      for (JoinPairs& p : parts.parts) FilterPairsForVertex(tgt, p);
       std::span<const Pre> ctx_base =
           arena_.Adopt(std::move(*vertices_[ctx].table));
       vertices_[ctx].table.reset();
-      StoreLazyResult(e, ctx_base, ctx_col, std::move(parts));
+      ResultView v(2, pairs.size());
+      v.col(ctx_col) = {ctx_base.data(),
+                        arena_.Adopt(std::move(pairs.left_rows)).data()};
+      v.col(1 - ctx_col) = {
+          arena_.Adopt(std::move(pairs.right_nodes)).data(), nullptr};
+      edges_[e].view = std::move(v);
     } else {
-      JoinPairs pairs = std::move(parts).Merged();
-      FilterPairsForVertex(tgt, pairs);
       // Materialize R_e with columns oriented (v1, v2).
       ResultTable r(2);
       std::vector<Pre>& ccol = r.MutableCol(ctx_col);
@@ -586,10 +507,9 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
     const ElementIndex* idx = options_.use_index_acceleration
                                   ? &corpus_.element_index(tx.doc)
                                   : nullptr;
-    return finish(ShardedStructuralJoinParts(
-        Sharded(), graph_.vertex(ctx).doc, target_doc, ctx_nodes,
-        StepSpecFrom(e, ctx), idx, &stats_.sharded, options_.cancel,
-        options_.vectorized_kernels));
+    return finish(StructuralJoinPairs(target_doc, ctx_nodes,
+                                      StepSpecFrom(e, ctx), kNoLimit, idx,
+                                      options_.cancel));
   }
   const CmpOp cmp = edge.CmpFrom(ctx);
   if (cmp != CmpOp::kEq) {
@@ -602,19 +522,17 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
     // all execution modes agree byte-for-byte.
     if (vertices_[tgt].table.has_value()) {
       last_kernel_ = "theta-run";
-      return finish(ShardedSortThetaJoinParts(
-          Sharded(), ctx_doc, ctx_nodes, target_doc, *vertices_[tgt].table,
-          cmp, &stats_.sharded, options_.cancel,
-          options_.vectorized_kernels));
+      return finish(SortThetaJoinPairs(ctx_doc, ctx_nodes, target_doc,
+                                       *vertices_[tgt].table, cmp, kNoLimit,
+                                       options_.cancel));
     }
     last_kernel_ = "theta-index";
     ValueProbeSpec spec = tx.type == VertexType::kAttribute
                               ? ValueProbeSpec::Attr(tx.name)
                               : ValueProbeSpec::Text();
-    return finish(ShardedValueIndexThetaJoinParts(
-        Sharded(), ctx_doc, ctx_nodes, target_doc,
-        corpus_.value_index(tx.doc), spec, cmp, &stats_.sharded,
-        options_.cancel, options_.vectorized_kernels));
+    return finish(ValueIndexThetaJoinPairs(ctx_doc, ctx_nodes, target_doc,
+                                           corpus_.value_index(tx.doc), spec,
+                                           cmp, kNoLimit, options_.cancel));
   }
   if (vertices_[tgt].table.has_value()) {
     // Both ends materialized: pick among the applicable algorithms
@@ -626,10 +544,9 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
     switch (algo) {
       case EquiAlgo::kHash:
         last_kernel_ = "hash";
-        return finish(ShardedHashValueJoinParts(
-            Sharded(), ctx_doc, ctx_nodes, target_doc,
-            *vertices_[tgt].table, &stats_.sharded, options_.cancel,
-            options_.vectorized_kernels));
+        return finish(HashValueJoinPairs(ctx_doc, ctx_nodes, target_doc,
+                                         *vertices_[tgt].table,
+                                         options_.cancel));
       case EquiAlgo::kMerge: {
         last_kernel_ = "merge";
         std::vector<Pre> outer_sorted = SortByValueId(ctx_doc, ctx_nodes);
@@ -637,8 +554,7 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
             SortByValueId(target_doc, *vertices_[tgt].table);
         JoinPairs pairs = MergeValueJoinPairs(ctx_doc, outer_sorted,
                                               target_doc, inner_sorted,
-                                              options_.cancel,
-                                              options_.vectorized_kernels);
+                                              options_.cancel);
         // Re-mapping outer rows back to ctx_nodes positions is
         // unnecessary: R_e only needs the matched *nodes* on both
         // sides, so R_e is built against outer_sorted directly.
@@ -674,13 +590,11 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
       }
       case EquiAlgo::kIndexNl:
         last_kernel_ = "index-nl";
-        return finish(ShardedValueIndexJoinParts(
-            Sharded(), ctx_doc, ctx_nodes, target_doc,
-            corpus_.value_index(tx.doc),
+        return finish(ValueIndexJoinPairs(
+            ctx_doc, ctx_nodes, target_doc, corpus_.value_index(tx.doc),
             tx.type == VertexType::kAttribute ? ValueProbeSpec::Attr(tx.name)
                                               : ValueProbeSpec::Text(),
-            &stats_.sharded, options_.cancel,
-            options_.vectorized_kernels));
+            kNoLimit, options_.cancel));
     }
     return Status::Internal("unhandled equi-join algorithm");
   }
@@ -688,48 +602,9 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
   ValueProbeSpec spec = tx.type == VertexType::kAttribute
                             ? ValueProbeSpec::Attr(tx.name)
                             : ValueProbeSpec::Text();
-  return finish(ShardedValueIndexJoinParts(Sharded(), ctx_doc, ctx_nodes,
-                                           target_doc,
-                                           corpus_.value_index(tx.doc), spec,
-                                           &stats_.sharded, options_.cancel,
-                                           options_.vectorized_kernels));
-}
-
-void RoxState::StoreLazyResult(EdgeId e, std::span<const Pre> ctx_base,
-                               size_t ctx_col, ShardedJoinParts&& parts) {
-  uint64_t total = parts.size();
-  ResultView v(2, total);
-  size_t tgt_col = 1 - ctx_col;
-  if (parts.parts.size() == 1 && parts.offsets[0] == 0) {
-    // Single lane: the pair arrays ARE the view — adopt, zero copies.
-    JoinPairs& p = parts.parts[0];
-    v.col(ctx_col) = {ctx_base.data(),
-                      arena_.Adopt(std::move(p.left_rows)).data()};
-    v.col(tgt_col) = {arena_.Adopt(std::move(p.right_nodes)).data(),
-                      nullptr};
-  } else {
-    // Multi-lane fan-out: flatten once into arena columns, applying the
-    // lane offsets on the fly (the "offset-adjusted view" merge; the
-    // eager path instead merges into a JoinPairs and then row-copies).
-    std::span<uint32_t> sel = arena_.Alloc(total);
-    std::span<uint32_t> base = arena_.Alloc(total);
-    uint64_t w = 0;
-    for (size_t s = 0; s < parts.parts.size(); ++s) {
-      const JoinPairs& p = parts.parts[s];
-      uint32_t off = parts.offsets[s];
-      for (size_t i = 0; i < p.left_rows.size(); ++i) {
-        sel[w + i] = p.left_rows[i] + off;
-      }
-      if (!p.right_nodes.empty()) {
-        std::memcpy(base.data() + w, p.right_nodes.data(),
-                    p.right_nodes.size() * sizeof(Pre));
-      }
-      w += p.size();
-    }
-    v.col(ctx_col) = {ctx_base.data(), sel.data()};
-    v.col(tgt_col) = {base.data(), nullptr};
-  }
-  edges_[e].view = std::move(v);
+  return finish(ValueIndexJoinPairs(ctx_doc, ctx_nodes, target_doc,
+                                    corpus_.value_index(tx.doc), spec,
+                                    kNoLimit, options_.cancel));
 }
 
 void RoxState::UpdateAfterExecution(EdgeId e) {
@@ -786,15 +661,6 @@ void RoxState::UpdateAfterExecution(EdgeId e) {
       }
     }
     ++side;
-  }
-
-  if (options_.trace) {
-    std::fprintf(
-        stderr, "[rox] executed edge %u (%s): |R_e|=%llu |T(v1)|=%.0f "
-        "|T(v2)|=%.0f\n",
-        e, graph_.EdgeLabel(e).c_str(),
-        static_cast<unsigned long long>(edges_[e].ResultRows()),
-        vertices_[edge.v1].card, vertices_[edge.v2].card);
   }
 }
 
@@ -858,8 +724,7 @@ RoxState::EquiAlgo RoxState::ChooseEquiAlgorithm(EdgeId e, VertexId ctx) {
     StopWatch w;
     ValueIndexJoinPairsInto(cdoc, cs.sample, tdoc,
                             corpus_.value_index(tx.doc), spec, options_.tau,
-                            sample_scratch_, nullptr,
-                            options_.vectorized_kernels);
+                            sample_scratch_);
     cost_nl = w.ElapsedNanos() / static_cast<double>(cs.sample.size()) *
               n_outer;
   }
@@ -868,8 +733,7 @@ RoxState::EquiAlgo RoxState::ChooseEquiAlgorithm(EdgeId e, VertexId ctx) {
   double cost_hash;
   {
     StopWatch w;
-    HashValueJoinPairs(cdoc, cs.sample, tdoc, ts.sample, nullptr,
-                       options_.vectorized_kernels);
+    HashValueJoinPairs(cdoc, cs.sample, tdoc, ts.sample);
     double per =
         w.ElapsedNanos() /
         static_cast<double>(cs.sample.size() + ts.sample.size());
@@ -881,8 +745,7 @@ RoxState::EquiAlgo RoxState::ChooseEquiAlgorithm(EdgeId e, VertexId ctx) {
     StopWatch w;
     auto so = SortByValueId(cdoc, cs.sample);
     auto si = SortByValueId(tdoc, ts.sample);
-    MergeValueJoinPairs(cdoc, so, tdoc, si, nullptr,
-                        options_.vectorized_kernels);
+    MergeValueJoinPairs(cdoc, so, tdoc, si);
     double sample_n =
         static_cast<double>(cs.sample.size() + ts.sample.size());
     double per = w.ElapsedNanos() / (sample_n * std::log2(sample_n + 2));

@@ -31,11 +31,9 @@
 #include "exec/column_arena.h"
 #include "exec/result_table.h"
 #include "exec/result_view.h"
-#include "exec/sharded_exec.h"
 #include "exec/structural_join.h"
 #include "graph/join_graph.h"
 #include "index/corpus.h"
-#include "index/sharded_corpus.h"
 #include "obs/trace.h"
 #include "rox/options.h"
 
@@ -70,9 +68,6 @@ struct RoxStats {
   // Bytes held by the run's column arena (lazy runs only).
   uint64_t arena_bytes = 0;
   std::vector<EdgeId> execution_order;
-
-  // Sharded execution counters (zero/empty when the run was unsharded).
-  ShardFanoutStats sharded;
 };
 
 struct VertexState {
@@ -207,24 +202,9 @@ class RoxState {
   // equi-join edges (transitivity over the equivalence class).
   bool EquiJoinImplied(VertexId a, VertexId b) const;
 
-  // Builds T(v) for an index-selectable vertex from the indexes. When
-  // sharding is enabled the per-shard lookups run in parallel and
-  // concatenate (shard ranges are contiguous, so the result is still
-  // in document order).
+  // Builds T(v) for an index-selectable vertex from the per-document
+  // indexes, in document order.
   Result<std::vector<Pre>> IndexLookup(VertexId v) const;
-
-  // The sharded-execution bundle, or null when disabled.
-  const ShardedExec* Sharded() const {
-    return (options_.sharded != nullptr && options_.sharded->Enabled())
-               ? options_.sharded
-               : nullptr;
-  }
-
-  // The element/value indexes Phase-1 sample draws come from: the
-  // designated sample shard's when one is configured, the full
-  // per-document indexes otherwise (ShardedExec::kSampleUnion).
-  const ElementIndex& SamplingElementIndex(DocId doc) const;
-  const ValueIndex& SamplingValueIndex(DocId doc) const;
 
   // Estimated (or exact) cardinality of the index lookup for v.
   double IndexCount(VertexId v) const;
@@ -237,13 +217,6 @@ class RoxState {
 
   // Executes `e` between materialized sides, producing R_e.
   Status ExecuteEdgeInternal(EdgeId e);
-
-  // Lazy R_e construction: adopts the context table into the arena as
-  // the base of a selection-vector column and flattens the (possibly
-  // multi-lane) filtered pair parts into arena columns, offset-adjusted
-  // — no merged JoinPairs, no row-copying of the context column.
-  void StoreLazyResult(EdgeId e, std::span<const Pre> ctx_base,
-                       size_t ctx_col, ShardedJoinParts&& parts);
 
   // Post-execution bookkeeping: refresh T/S/card of the edge endpoints
   // and re-sample weights of their incident edges (lines 14-19).
@@ -281,7 +254,7 @@ class RoxState {
   // Arena backing lazy views (edge results, assembly intermediates).
   ColumnArena arena_;
   // Reused buffer of the sampled-execution loops (a RoxState runs one
-  // query on one thread; sampled operators are never fanned out).
+  // query on one thread).
   JoinPairs sample_scratch_;
 };
 

@@ -158,20 +158,36 @@ void HttpParser::ParseHeaders() {
     Fail(501, "transfer encodings not implemented");
     return;
   }
-  body_expected_ = 0;
-  if (const std::string* cl = request_.FindHeader("Content-Length")) {
-    char* parse_end = nullptr;
-    unsigned long long v = std::strtoull(cl->c_str(), &parse_end, 10);
-    if (cl->empty() || parse_end == nullptr || *parse_end != '\0') {
+  // Content-Length is 1*DIGIT (RFC 9110 §8.6): strtoull alone would
+  // accept a sign ("-1" wraps, "+2" frames 2 bytes). Every occurrence
+  // is checked, not just the first — duplicates that disagree would
+  // let a body be framed one way here and another way by a proxy in
+  // front (request smuggling), so they are rejected; identical
+  // duplicates are harmless and accepted.
+  bool have_length = false;
+  unsigned long long length = 0;
+  for (const auto& [key, value] : request_.headers) {
+    if (!EqualsIgnoreCase(key, "Content-Length")) continue;
+    if (value.empty() ||
+        value.find_first_not_of("0123456789") != std::string::npos) {
       Fail(400, "malformed Content-Length");
       return;
     }
-    if (v > limits_.max_body_bytes) {
-      Fail(413, "request body exceeds limit");
+    // Digits only, so the sole failure mode left is overflow, which
+    // saturates at ULLONG_MAX and lands in the 413 below.
+    unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
+    if (have_length && v != length) {
+      Fail(400, "conflicting Content-Length headers");
       return;
     }
-    body_expected_ = static_cast<size_t>(v);
+    have_length = true;
+    length = v;
   }
+  if (length > limits_.max_body_bytes) {
+    Fail(413, "request body exceeds limit");
+    return;
+  }
+  body_expected_ = static_cast<size_t>(length);
   state_ = State::kBody;
   MaybeFinishBody();
 }

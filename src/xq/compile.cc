@@ -342,7 +342,6 @@ void MergeStats(RoxStats& into, const RoxStats& from) {
       std::max(into.peak_intermediate_rows, from.peak_intermediate_rows);
   into.gather.Merge(from.gather);
   into.arena_bytes += from.arena_bytes;
-  into.sharded.Merge(from.sharded);
 }
 
 }  // namespace

@@ -109,6 +109,44 @@ TEST(HttpParserTest, BadContentLengthIs400) {
   EXPECT_EQ(p.error_status(), 400);
 }
 
+// Content-Length is 1*DIGIT: a signed value is malformed (400), not a
+// length of 0 or 2 and not an oversized body (413).
+TEST(HttpParserTest, SignedContentLengthIs400) {
+  for (const char* value : {"-0", "+2", "-1"}) {
+    SCOPED_TRACE(value);
+    HttpParser p;
+    const std::string bad = std::string("POST /query HTTP/1.1\r\n") +
+                            "Content-Length: " + value + "\r\n\r\nab";
+    p.Feed(bad.data(), bad.size());
+    ASSERT_TRUE(p.failed());
+    EXPECT_EQ(p.error_status(), 400);
+  }
+}
+
+// Disagreeing duplicates must not frame the body by the first one: the
+// remaining bytes would be parsed as a pipelined request a proxy never
+// saw (the request-smuggling shape).
+TEST(HttpParserTest, ConflictingContentLengthsAre400) {
+  HttpParser p;
+  const std::string bad =
+      "POST /query HTTP/1.1\r\nContent-Length: 2\r\n"
+      "Content-Length: 40\r\n\r\n"
+      "abGET /admin HTTP/1.1\r\nHost: x\r\n\r\n";
+  p.Feed(bad.data(), bad.size());
+  ASSERT_TRUE(p.failed());
+  EXPECT_EQ(p.error_status(), 400);
+  EXPECT_FALSE(p.HasRequest());
+}
+
+TEST(HttpParserTest, IdenticalDuplicateContentLengthsFrameOnce) {
+  HttpParser p;
+  HttpRequest r = ParseAll(p,
+                           "POST /query HTTP/1.1\r\nContent-Length: 4\r\n"
+                           "content-length: 4\r\n\r\nabcd");
+  EXPECT_EQ(r.body, "abcd");
+  EXPECT_FALSE(p.failed());
+}
+
 TEST(HttpParserTest, HeaderFoldingIs400) {
   HttpParser p;
   const std::string bad =

@@ -1,17 +1,18 @@
 // Kernel-level truncation-invariant suite (DESIGN.md §14): every
 // pair-producing join kernel is driven through {clean finish, limit
-// trip, cancellation trip} on both the vectorized and the row-at-a-time
-// fallback path, asserting the cut-off protocol invariants:
+// trip, cancellation trip}, asserting the cut-off protocol invariants:
 //
+//  * the clean run matches a brute-force nested-loop reference built
+//    here, compared per outer row as the set of matched nodes;
 //  * truncated and outer_consumed are mutually consistent
 //    (!truncated => outer_consumed == outer.size());
 //  * outer_consumed <= outer.size();
 //  * every emitted pair references a row < outer_consumed, and
 //    left_rows stay grouped (non-decreasing);
-//  * a limit trip (the sentinel) leaves exactly `limit` pairs;
-//  * vectorized and fallback are byte-identical for any limit and an
-//    un-tripped token (cancellation stop *points* may differ — only
-//    the invariants are compared there).
+//  * a limit run is exactly the first `limit` pairs of the clean run,
+//    and a limit trip counts every row up to the tripping one;
+//  * a cancellation trip keeps no partial row: its pairs are a whole-
+//    row prefix of the clean run.
 //
 // Plus regression cases for the pre-§14 accounting bugs: limit trips
 // under-reported outer_consumed when match-less rows preceded the
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -138,25 +140,96 @@ void ExpectIdentical(const JoinPairs& a, const JoinPairs& b,
   EXPECT_EQ(a.outer_consumed, b.outer_consumed) << what;
 }
 
+// Expects `p`'s pairs to be the first p.size() pairs of `full`.
+void ExpectPrefixOf(const JoinPairs& p, const JoinPairs& full,
+                    const char* what) {
+  ASSERT_LE(p.size(), full.size()) << what;
+  EXPECT_TRUE(std::equal(p.left_rows.begin(), p.left_rows.end(),
+                         full.left_rows.begin()))
+      << what;
+  EXPECT_TRUE(std::equal(p.right_nodes.begin(), p.right_nodes.end(),
+                         full.right_nodes.begin()))
+      << what;
+}
+
+// Per outer row, the sorted matched nodes (the brute-force reference
+// shape). Within-row emission order differs by kernel — document order
+// for index runs, (value, pre) order for range theta runs — so rows
+// are compared as sets.
+using RowMatches = std::vector<std::vector<Pre>>;
+
+RowMatches GroupByRow(const JoinPairs& p, size_t outer_n) {
+  RowMatches out(outer_n);
+  for (size_t k = 0; k < p.size(); ++k) {
+    out[p.left_rows[k]].push_back(p.right_nodes[k]);
+  }
+  for (auto& row : out) std::sort(row.begin(), row.end());
+  return out;
+}
+
+// Nested-loop reference: row r matches every candidate s with
+// match(outer[r], s), candidates scanned in document order.
+template <typename Match>
+RowMatches NestedLoop(std::span<const Pre> outer,
+                      std::span<const Pre> candidates, const Match& match) {
+  RowMatches out(outer.size());
+  for (size_t r = 0; r < outer.size(); ++r) {
+    for (Pre s : candidates) {
+      if (match(outer[r], s)) out[r].push_back(s);
+    }
+  }
+  return out;
+}
+
+// Every node of `doc` of kind `kind` (and name `name`, if valid).
+std::vector<Pre> NodesOf(const Document& doc, NodeKind kind,
+                         StringId name = kInvalidStringId) {
+  std::vector<Pre> out;
+  for (Pre p = 0; p < doc.NodeCount(); ++p) {
+    if (doc.Kind(p) != kind) continue;
+    if (name != kInvalidStringId && doc.Name(p) != name) continue;
+    out.push_back(p);
+  }
+  return out;
+}
+
+// The comparison `outer op inner` over two nodes' string values:
+// numeric for the range operators (non-numeric values never match),
+// string (in)equality for kEq/kNe.
+bool CompareValues(const Document& ldoc, Pre l, const Document& rdoc,
+                   Pre r, CmpOp op) {
+  std::string lv(ldoc.pool().Get(ldoc.Value(l)));
+  std::string rv(rdoc.pool().Get(rdoc.Value(r)));
+  if (op == CmpOp::kEq) return lv == rv;
+  if (op == CmpOp::kNe) return lv != rv;
+  double a = std::stod(lv), b = std::stod(rv);
+  switch (op) {
+    case CmpOp::kLt: return a < b;
+    case CmpOp::kLe: return a <= b;
+    case CmpOp::kGt: return a > b;
+    case CmpOp::kGe: return a >= b;
+    default: return false;
+  }
+}
+
 using Kernel =
-    std::function<JoinPairs(uint64_t limit, const CancellationToken*, bool)>;
+    std::function<JoinPairs(uint64_t limit, const CancellationToken*)>;
 
 // The full case matrix for one kernel. `pairs_per_row` > 0 asserts the
 // sharp cancellation identity size == outer_consumed * pairs_per_row
 // for uniform-fanout inputs — which fails if a tripped run keeps a
 // partially-emitted row or counts it as consumed. `has_limit` is false
 // for the full-execution kernels that take no cut-off (hash, merge).
-void RunKernelMatrix(const Kernel& run, size_t outer_n, size_t pairs_per_row,
-                     bool has_limit, const char* what) {
+void RunKernelMatrix(const Kernel& run, const RowMatches& oracle,
+                     size_t pairs_per_row, bool has_limit, const char* what) {
   SCOPED_TRACE(what);
-  // Clean finish, both paths, byte-identical.
-  JoinPairs scalar = run(kNoLimit, nullptr, false);
-  JoinPairs vec = run(kNoLimit, nullptr, true);
-  CheckInvariants(scalar, outer_n);
-  CheckInvariants(vec, outer_n);
-  EXPECT_FALSE(scalar.truncated);
-  ExpectIdentical(scalar, vec, "clean");
-  const uint64_t total = scalar.size();
+  const size_t outer_n = oracle.size();
+  // Clean finish against the brute-force reference.
+  JoinPairs clean = run(kNoLimit, nullptr);
+  CheckInvariants(clean, outer_n);
+  EXPECT_FALSE(clean.truncated);
+  EXPECT_TRUE(GroupByRow(clean, outer_n) == oracle) << "clean vs oracle";
+  const uint64_t total = clean.size();
   if (pairs_per_row > 0) {
     EXPECT_EQ(total, outer_n * pairs_per_row);
   }
@@ -166,48 +239,54 @@ void RunKernelMatrix(const Kernel& run, size_t outer_n, size_t pairs_per_row,
     for (uint64_t limit : {uint64_t{1}, uint64_t{7}, uint64_t{64},
                            uint64_t{1000}, total, total + 10}) {
       SCOPED_TRACE("limit=" + std::to_string(limit));
-      JoinPairs s = run(limit, nullptr, false);
-      JoinPairs v = run(limit, nullptr, true);
+      JoinPairs s = run(limit, nullptr);
       CheckInvariants(s, outer_n);
-      CheckInvariants(v, outer_n);
       EXPECT_EQ(s.truncated, limit < total);
+      EXPECT_EQ(s.size(), std::min(limit, total));
+      ExpectPrefixOf(s, clean, "limit prefix");
       if (s.truncated) {
-        EXPECT_EQ(s.size(), limit);
+        // The tripping row produced the sentinel, pair `limit` of the
+        // clean run.
+        EXPECT_EQ(s.outer_consumed, clean.left_rows[limit] + 1u);
       }
-      ExpectIdentical(s, v, "limit");
     }
   }
 
   // Cancellation trips: a pre-tripped token stops through the same
-  // truncation protocol. Stop points may legitimately differ between
-  // the two paths, so each is checked against the invariants alone.
-  for (bool vectorized : {false, true}) {
-    SCOPED_TRACE(vectorized ? "cancel/vectorized" : "cancel/fallback");
-    CancellationToken tok;
-    tok.Cancel();
-    JoinPairs c = run(kNoLimit, &tok, vectorized);
-    CheckInvariants(c, outer_n);
-    if (total > kCancelCheckRows) {
-      EXPECT_TRUE(c.truncated);
-    }
-    if (c.truncated && pairs_per_row > 0) {
-      EXPECT_EQ(c.size(), c.outer_consumed * pairs_per_row);
-    }
+  // truncation protocol, keeping only whole rows.
+  CancellationToken tok;
+  tok.Cancel();
+  JoinPairs c = run(kNoLimit, &tok);
+  CheckInvariants(c, outer_n);
+  if (total > kCancelCheckRows) {
+    EXPECT_TRUE(c.truncated);
   }
+  if (c.truncated && pairs_per_row > 0) {
+    EXPECT_EQ(c.size(), c.outer_consumed * pairs_per_row);
+  }
+  ExpectPrefixOf(c, clean, "cancel prefix");
 }
 
 // --- the kernel matrix ------------------------------------------------------
+
+// True iff `s` lies strictly inside `c`'s subtree (pre/size encoding).
+bool InSubtree(const Document& doc, Pre c, Pre s) {
+  return c < s && s <= c + doc.Size(c);
+}
 
 TEST(KernelInvariantTest, StructuralDescendantIndexed) {
   const StructFixture& sf = SF();
   const Document& doc = sf.corpus.doc(sf.id);
   const ElementIndex* idx = &sf.corpus.element_index(sf.id);
   StepSpec step = StepSpec::Descendant(sf.corpus.Find("x"));
+  RowMatches oracle =
+      NestedLoop(sf.context, NodesOf(doc, NodeKind::kElem, step.name),
+                 [&](Pre c, Pre s) { return InSubtree(doc, c, s); });
   RunKernelMatrix(
-      [&](uint64_t limit, const CancellationToken* c, bool v) {
-        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c, v);
+      [&](uint64_t limit, const CancellationToken* c) {
+        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c);
       },
-      sf.context.size(), 2, true, "descendant::x (bulk index range)");
+      oracle, 2, true, "descendant::x (bulk index range)");
 }
 
 TEST(KernelInvariantTest, StructuralChildSink) {
@@ -215,11 +294,14 @@ TEST(KernelInvariantTest, StructuralChildSink) {
   const Document& doc = sf.corpus.doc(sf.id);
   const ElementIndex* idx = &sf.corpus.element_index(sf.id);
   StepSpec step = StepSpec::Child(sf.corpus.Find("x"));
+  RowMatches oracle =
+      NestedLoop(sf.context, NodesOf(doc, NodeKind::kElem, step.name),
+                 [&](Pre c, Pre s) { return doc.Parent(s) == c; });
   RunKernelMatrix(
-      [&](uint64_t limit, const CancellationToken* c, bool v) {
-        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c, v);
+      [&](uint64_t limit, const CancellationToken* c) {
+        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c);
       },
-      sf.context.size(), 2, true, "child::x (per-match sink)");
+      oracle, 2, true, "child::x (per-match sink)");
 }
 
 TEST(KernelInvariantTest, StructuralDescendantOrSelfEmitsSelf) {
@@ -231,39 +313,46 @@ TEST(KernelInvariantTest, StructuralDescendantOrSelfEmitsSelf) {
   // self-emission.
   StepSpec step{Axis::kDescendantOrSelf, KindTest::kElem,
                 sf.corpus.Find("p")};
+  RowMatches oracle = NestedLoop(
+      sf.context, NodesOf(doc, NodeKind::kElem, step.name),
+      [&](Pre c, Pre s) { return s == c || InSubtree(doc, c, s); });
   RunKernelMatrix(
-      [&](uint64_t limit, const CancellationToken* c, bool v) {
-        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c, v);
+      [&](uint64_t limit, const CancellationToken* c) {
+        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c);
       },
-      sf.context.size(), 1, true, "descendant-or-self::p (self pairs)");
+      oracle, 1, true, "descendant-or-self::p (self pairs)");
 }
 
 TEST(KernelInvariantTest, StructuralFollowingLimitAndCancel) {
   // following::x explodes quadratically (~2 * kRows pairs from row 0
   // alone), so the bulk suffix-range path is exercised under limits and
-  // cancellation only — never to completion.
+  // cancellation only — never to completion. Row 0's following x nodes
+  // are every x outside its own subtree, in document order.
   const StructFixture& sf = SF();
   const Document& doc = sf.corpus.doc(sf.id);
   const ElementIndex* idx = &sf.corpus.element_index(sf.id);
   StepSpec step{Axis::kFollowing, KindTest::kElem, sf.corpus.Find("x")};
+  const Pre first = sf.context[0];
+  std::vector<Pre> row0;
+  for (Pre s : NodesOf(doc, NodeKind::kElem, step.name)) {
+    if (s > first + doc.Size(first)) row0.push_back(s);
+  }
   for (uint64_t limit : {uint64_t{1}, uint64_t{1000}}) {
-    JoinPairs s = StructuralJoinPairs(doc, sf.context, step, limit, idx,
-                                      nullptr, false);
-    JoinPairs v = StructuralJoinPairs(doc, sf.context, step, limit, idx,
-                                      nullptr, true);
+    JoinPairs s = StructuralJoinPairs(doc, sf.context, step, limit, idx);
     CheckInvariants(s, sf.context.size());
     EXPECT_TRUE(s.truncated);
     EXPECT_EQ(s.size(), limit);
-    ExpectIdentical(s, v, "following limit");
+    EXPECT_EQ(s.outer_consumed, 1u);
+    ASSERT_LT(limit, row0.size());
+    EXPECT_EQ(s.right_nodes,
+              std::vector<Pre>(row0.begin(), row0.begin() + limit));
   }
-  for (bool vectorized : {false, true}) {
-    CancellationToken tok;
-    tok.Cancel();
-    JoinPairs c = StructuralJoinPairs(doc, sf.context, step, kNoLimit, idx,
-                                      &tok, vectorized);
-    CheckInvariants(c, sf.context.size());
-    EXPECT_TRUE(c.truncated);
-  }
+  CancellationToken tok;
+  tok.Cancel();
+  JoinPairs c =
+      StructuralJoinPairs(doc, sf.context, step, kNoLimit, idx, &tok);
+  CheckInvariants(c, sf.context.size());
+  EXPECT_TRUE(c.truncated);
 }
 
 TEST(KernelInvariantTest, ValueIndexEquiText) {
@@ -271,15 +360,18 @@ TEST(KernelInvariantTest, ValueIndexEquiText) {
   const Document& ldoc = vf.corpus.doc(vf.left);
   const Document& rdoc = vf.corpus.doc(vf.right);
   const ValueIndex& vidx = vf.corpus.value_index(vf.right);
+  RowMatches oracle =
+      NestedLoop(vf.outer, NodesOf(rdoc, NodeKind::kText), [&](Pre l, Pre r) {
+        return CompareValues(ldoc, l, rdoc, r, CmpOp::kEq);
+      });
   RunKernelMatrix(
-      [&](uint64_t limit, const CancellationToken* c, bool v) {
+      [&](uint64_t limit, const CancellationToken* c) {
         JoinPairs out;
         ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc,
-                                vidx, ValueProbeSpec::Text(), limit, out, c,
-                                v);
+                                vidx, ValueProbeSpec::Text(), limit, out, c);
         return out;
       },
-      kRows, kDup, true, "index-nl equi, text spec");
+      oracle, kDup, true, "index-nl equi, text spec");
 }
 
 TEST(KernelInvariantTest, ValueIndexEquiAttr) {
@@ -288,14 +380,19 @@ TEST(KernelInvariantTest, ValueIndexEquiAttr) {
   const Document& rdoc = vf.corpus.doc(vf.right);
   const ValueIndex& vidx = vf.corpus.value_index(vf.right);
   ValueProbeSpec spec = ValueProbeSpec::Attr(vf.corpus.Find("v"));
+  RowMatches oracle = NestedLoop(
+      vf.outer, NodesOf(rdoc, NodeKind::kAttr, spec.attr_name),
+      [&](Pre l, Pre r) {
+        return CompareValues(ldoc, l, rdoc, r, CmpOp::kEq);
+      });
   RunKernelMatrix(
-      [&](uint64_t limit, const CancellationToken* c, bool v) {
+      [&](uint64_t limit, const CancellationToken* c) {
         JoinPairs out;
         ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc,
-                                vidx, spec, limit, out, c, v);
+                                vidx, spec, limit, out, c);
         return out;
       },
-      kRows, 1, true, "index-nl equi, attr spec");
+      oracle, 1, true, "index-nl equi, attr spec");
 }
 
 TEST(KernelInvariantTest, ValueIndexTheta) {
@@ -305,13 +402,16 @@ TEST(KernelInvariantTest, ValueIndexTheta) {
   const ValueIndex& vidx = vf.corpus.value_index(vf.right);
   for (CmpOp op :
        {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt, CmpOp::kGe, CmpOp::kNe}) {
+    RowMatches oracle = NestedLoop(
+        vf.outer, NodesOf(rdoc, NodeKind::kText),
+        [&](Pre l, Pre r) { return CompareValues(ldoc, l, rdoc, r, op); });
     RunKernelMatrix(
-        [&](uint64_t limit, const CancellationToken* c, bool v) {
+        [&](uint64_t limit, const CancellationToken* c) {
           return ValueIndexThetaJoinPairs(ldoc, vf.outer, rdoc, vidx,
                                           ValueProbeSpec::Text(), op, limit,
-                                          c, v);
+                                          c);
         },
-        kRows, 0, true,
+        oracle, 0, true,
         ("index theta op=" + std::to_string(static_cast<int>(op))).c_str());
   }
 }
@@ -322,12 +422,15 @@ TEST(KernelInvariantTest, SortTheta) {
   const Document& rdoc = vf.corpus.doc(vf.right);
   for (CmpOp op :
        {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt, CmpOp::kGe, CmpOp::kNe}) {
+    RowMatches oracle = NestedLoop(
+        vf.outer, vf.inner_texts,
+        [&](Pre l, Pre r) { return CompareValues(ldoc, l, rdoc, r, op); });
     RunKernelMatrix(
-        [&](uint64_t limit, const CancellationToken* c, bool v) {
+        [&](uint64_t limit, const CancellationToken* c) {
           return SortThetaJoinPairs(ldoc, vf.outer, rdoc, vf.inner_texts, op,
-                                    limit, c, v);
+                                    limit, c);
         },
-        kRows, 0, true,
+        oracle, 0, true,
         ("sort theta op=" + std::to_string(static_cast<int>(op))).c_str());
   }
 }
@@ -336,11 +439,15 @@ TEST(KernelInvariantTest, HashProbe) {
   const ValueFixture& vf = VF();
   const Document& ldoc = vf.corpus.doc(vf.left);
   const Document& rdoc = vf.corpus.doc(vf.right);
+  RowMatches oracle =
+      NestedLoop(vf.outer, vf.inner_texts, [&](Pre l, Pre r) {
+        return CompareValues(ldoc, l, rdoc, r, CmpOp::kEq);
+      });
   RunKernelMatrix(
-      [&](uint64_t, const CancellationToken* c, bool v) {
-        return HashValueJoinPairs(ldoc, vf.outer, rdoc, vf.inner_texts, c, v);
+      [&](uint64_t, const CancellationToken* c) {
+        return HashValueJoinPairs(ldoc, vf.outer, rdoc, vf.inner_texts, c);
       },
-      kRows, kDup, /*has_limit=*/false, "hash equi probe");
+      oracle, kDup, /*has_limit=*/false, "hash equi probe");
 }
 
 TEST(KernelInvariantTest, Merge) {
@@ -349,11 +456,15 @@ TEST(KernelInvariantTest, Merge) {
   const Document& rdoc = vf.corpus.doc(vf.right);
   std::vector<Pre> os = SortByValueId(ldoc, vf.outer);
   std::vector<Pre> is = SortByValueId(rdoc, vf.inner_texts);
+  // Merge rows index the value-sorted outer.
+  RowMatches oracle = NestedLoop(os, vf.inner_texts, [&](Pre l, Pre r) {
+    return CompareValues(ldoc, l, rdoc, r, CmpOp::kEq);
+  });
   RunKernelMatrix(
-      [&](uint64_t, const CancellationToken* c, bool v) {
-        return MergeValueJoinPairs(ldoc, os, rdoc, is, c, v);
+      [&](uint64_t, const CancellationToken* c) {
+        return MergeValueJoinPairs(ldoc, os, rdoc, is, c);
       },
-      kRows, kDup, /*has_limit=*/false, "merge equi join");
+      oracle, kDup, /*has_limit=*/false, "merge equi join");
 }
 
 // --- regression cases for the pre-fix accounting ----------------------------
@@ -372,16 +483,14 @@ TEST(KernelInvariantTest, EquiLimitCountsMatchlessPrefix) {
   const Document& ldoc = c.doc(*l);
   std::vector<Pre> outer = TextNodes(ldoc);
   ASSERT_EQ(outer.size(), 6u);
-  for (bool vectorized : {false, true}) {
-    JoinPairs out;
-    ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(outer), c.doc(*r),
-                            c.value_index(*r), ValueProbeSpec::Text(),
-                            /*limit=*/3, out, nullptr, vectorized);
-    EXPECT_TRUE(out.truncated);
-    EXPECT_EQ(out.size(), 3u);  // all from row 0; row 5's pair was the sentinel
-    EXPECT_EQ(out.outer_consumed, 6u);
-    CheckInvariants(out, outer.size());
-  }
+  JoinPairs out;
+  ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(outer), c.doc(*r),
+                          c.value_index(*r), ValueProbeSpec::Text(),
+                          /*limit=*/3, out);
+  EXPECT_TRUE(out.truncated);
+  EXPECT_EQ(out.size(), 3u);  // all from row 0; row 5's pair was the sentinel
+  EXPECT_EQ(out.outer_consumed, 6u);
+  CheckInvariants(out, outer.size());
 }
 
 // Same shape through the theta probe loop: non-numeric rows between the
@@ -397,20 +506,18 @@ TEST(KernelInvariantTest, ThetaLimitCountsMatchlessPrefix) {
   std::vector<Pre> outer = TextNodes(ldoc);
   std::vector<Pre> inner = TextNodes(rdoc);
   ASSERT_EQ(outer.size(), 6u);
-  for (bool vectorized : {false, true}) {
-    JoinPairs idx = ValueIndexThetaJoinPairs(
-        ldoc, outer, rdoc, c.value_index(*r), ValueProbeSpec::Text(),
-        CmpOp::kLt, /*limit=*/3, nullptr, vectorized);
-    EXPECT_TRUE(idx.truncated);
-    EXPECT_EQ(idx.size(), 3u);
-    EXPECT_EQ(idx.outer_consumed, 6u);
-    CheckInvariants(idx, outer.size());
+  JoinPairs idx =
+      ValueIndexThetaJoinPairs(ldoc, outer, rdoc, c.value_index(*r),
+                               ValueProbeSpec::Text(), CmpOp::kLt,
+                               /*limit=*/3);
+  EXPECT_TRUE(idx.truncated);
+  EXPECT_EQ(idx.size(), 3u);
+  EXPECT_EQ(idx.outer_consumed, 6u);
+  CheckInvariants(idx, outer.size());
 
-    JoinPairs sorted = SortThetaJoinPairs(ldoc, outer, rdoc, inner,
-                                          CmpOp::kLt, /*limit=*/3, nullptr,
-                                          vectorized);
-    ExpectIdentical(idx, sorted, "index vs sort theta");
-  }
+  JoinPairs sorted =
+      SortThetaJoinPairs(ldoc, outer, rdoc, inner, CmpOp::kLt, /*limit=*/3);
+  ExpectIdentical(idx, sorted, "index vs sort theta");
 }
 
 // MergeValueJoinPairs formerly returned from its group cross-product
@@ -423,18 +530,16 @@ TEST(KernelInvariantTest, MergeCancellationKeepsPairsWithinConsumedPrefix) {
   const Document& rdoc = vf.corpus.doc(vf.right);
   std::vector<Pre> os = SortByValueId(ldoc, vf.outer);
   std::vector<Pre> is = SortByValueId(rdoc, vf.inner_texts);
-  for (bool vectorized : {false, true}) {
-    CancellationToken tok;
-    tok.Cancel();
-    JoinPairs p = MergeValueJoinPairs(ldoc, os, rdoc, is, &tok, vectorized);
-    EXPECT_TRUE(p.truncated);
-    EXPECT_GT(p.outer_consumed, 0u);
-    EXPECT_LT(p.outer_consumed, os.size());
-    // Every sorted row matches exactly kDup inner nodes, so a correct
-    // stop leaves exactly the consumed prefix's pairs.
-    EXPECT_EQ(p.size(), p.outer_consumed * kDup);
-    CheckInvariants(p, os.size());
-  }
+  CancellationToken tok;
+  tok.Cancel();
+  JoinPairs p = MergeValueJoinPairs(ldoc, os, rdoc, is, &tok);
+  EXPECT_TRUE(p.truncated);
+  EXPECT_GT(p.outer_consumed, 0u);
+  EXPECT_LT(p.outer_consumed, os.size());
+  // Every sorted row matches exactly kDup inner nodes, so a correct
+  // stop leaves exactly the consumed prefix's pairs.
+  EXPECT_EQ(p.size(), p.outer_consumed * kDup);
+  CheckInvariants(p, os.size());
 }
 
 // The merge's value-less-tail early exit is a clean finish: value-less
@@ -451,18 +556,18 @@ TEST(KernelInvariantTest, MergeValuelessTailCountsAsConsumed) {
   ASSERT_EQ(outer.size(), 4u);
   std::vector<Pre> os = SortByValueId(ldoc, outer);
   std::vector<Pre> is = SortByValueId(rdoc, TextNodes(rdoc));
-  JoinPairs scalar = MergeValueJoinPairs(ldoc, os, rdoc, is, nullptr, false);
-  JoinPairs vec = MergeValueJoinPairs(ldoc, os, rdoc, is, nullptr, true);
-  EXPECT_EQ(scalar.size(), 2u);
-  EXPECT_FALSE(scalar.truncated);
-  EXPECT_EQ(scalar.outer_consumed, 4u);
-  ExpectIdentical(scalar, vec, "value-less tail");
+  JoinPairs p = MergeValueJoinPairs(ldoc, os, rdoc, is);
+  EXPECT_EQ(p.size(), 2u);
+  EXPECT_FALSE(p.truncated);
+  EXPECT_EQ(p.outer_consumed, 4u);
+  EXPECT_EQ(p.left_rows, (std::vector<uint32_t>{0, 1}));
+  CheckInvariants(p, os.size());
 }
 
 // --- selection-vector entry points ------------------------------------------
 
 // A PreColumn with a selection vector must produce exactly what the
-// gathered copy of the same rows produces, on both kernel paths.
+// gathered copy of the same rows produces.
 TEST(KernelInvariantTest, PreColumnSelectionMatchesGather) {
   const ValueFixture& vf = VF();
   const Document& ldoc = vf.corpus.doc(vf.left);
@@ -476,23 +581,19 @@ TEST(KernelInvariantTest, PreColumnSelectionMatchesGather) {
   for (uint32_t s : sel) gathered.push_back(vf.outer[s]);
 
   ValueHashTable table(rdoc, vf.inner_texts);
-  for (bool vectorized : {false, true}) {
-    for (uint64_t limit : {kNoLimit, uint64_t{100}}) {
-      JoinPairs a, b;
-      ValueIndexJoinPairsInto(ldoc, col, rdoc, vidx, ValueProbeSpec::Text(),
-                              limit, a, nullptr, vectorized);
-      ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(gathered), rdoc,
-                              vidx, ValueProbeSpec::Text(), limit, b, nullptr,
-                              vectorized);
-      ExpectIdentical(a, b, "equi precolumn");
-      CheckInvariants(a, sel.size());
-    }
+  for (uint64_t limit : {kNoLimit, uint64_t{100}}) {
     JoinPairs a, b;
-    table.ProbeInto(ldoc, col, a, nullptr, vectorized);
-    table.ProbeInto(ldoc, std::span<const Pre>(gathered), b, nullptr,
-                    vectorized);
-    ExpectIdentical(a, b, "hash precolumn");
+    ValueIndexJoinPairsInto(ldoc, col, rdoc, vidx, ValueProbeSpec::Text(),
+                            limit, a);
+    ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(gathered), rdoc, vidx,
+                            ValueProbeSpec::Text(), limit, b);
+    ExpectIdentical(a, b, "equi precolumn");
+    CheckInvariants(a, sel.size());
   }
+  JoinPairs a, b;
+  table.ProbeInto(ldoc, col, a);
+  table.ProbeInto(ldoc, std::span<const Pre>(gathered), b);
+  ExpectIdentical(a, b, "hash precolumn");
 }
 
 TEST(KernelInvariantTest, StructuralPreColumnMatchesGather) {
@@ -505,16 +606,13 @@ TEST(KernelInvariantTest, StructuralPreColumnMatchesGather) {
   PreColumn col{sf.context.data(), sel.data(), sel.size()};
   std::vector<Pre> gathered;
   for (uint32_t s : sel) gathered.push_back(sf.context[s]);
-  for (bool vectorized : {false, true}) {
-    for (uint64_t limit : {kNoLimit, uint64_t{33}}) {
-      JoinPairs a, b;
-      StructuralJoinPairsInto(doc, col, step, limit, idx, a, nullptr,
-                              vectorized);
-      StructuralJoinPairsInto(doc, std::span<const Pre>(gathered), step,
-                              limit, idx, b, nullptr, vectorized);
-      ExpectIdentical(a, b, "structural precolumn");
-      CheckInvariants(a, sel.size());
-    }
+  for (uint64_t limit : {kNoLimit, uint64_t{33}}) {
+    JoinPairs a, b;
+    StructuralJoinPairsInto(doc, col, step, limit, idx, a);
+    StructuralJoinPairsInto(doc, std::span<const Pre>(gathered), step, limit,
+                            idx, b);
+    ExpectIdentical(a, b, "structural precolumn");
+    CheckInvariants(a, sel.size());
   }
 }
 
@@ -526,20 +624,15 @@ TEST(KernelInvariantTest, IntoVariantsClearReusedBuffers) {
   const Document& ldoc = vf.corpus.doc(vf.left);
   const Document& rdoc = vf.corpus.doc(vf.right);
   const ValueIndex& vidx = vf.corpus.value_index(vf.right);
-  for (bool vectorized : {false, true}) {
-    JoinPairs reused, fresh;
-    ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
-                            ValueProbeSpec::Text(), /*limit=*/5, reused,
-                            nullptr, vectorized);
-    EXPECT_TRUE(reused.truncated);
-    ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
-                            ValueProbeSpec::Text(), kNoLimit, reused, nullptr,
-                            vectorized);
-    ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
-                            ValueProbeSpec::Text(), kNoLimit, fresh, nullptr,
-                            vectorized);
-    ExpectIdentical(reused, fresh, "buffer reuse");
-  }
+  JoinPairs reused, fresh;
+  ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
+                          ValueProbeSpec::Text(), /*limit=*/5, reused);
+  EXPECT_TRUE(reused.truncated);
+  ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
+                          ValueProbeSpec::Text(), kNoLimit, reused);
+  ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
+                          ValueProbeSpec::Text(), kNoLimit, fresh);
+  ExpectIdentical(reused, fresh, "buffer reuse");
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Late materialization correctness (DESIGN.md §8): the view layer must
 // reproduce the eager ResultTable operators byte for byte, and whole
-// query runs — including cut-off/approximate execution and sharded
-// fan-out — must return identical result sequences with
-// lazy_materialization on and off.
+// query runs — including cut-off/approximate execution — must return
+// identical result sequences with lazy_materialization on and off.
 
 #include <gtest/gtest.h>
 
@@ -13,12 +12,10 @@
 #include "classical/executor.h"
 #include "classical/plans.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "exec/column_arena.h"
 #include "exec/result_table.h"
 #include "exec/result_view.h"
-#include "index/sharded_corpus.h"
 #include "workload/dblp.h"
 #include "workload/xmark.h"
 #include "xq/compile.h"
@@ -267,28 +264,6 @@ TEST(MaterializationDifferentialTest, CutOffAndApproximateRunsMatch) {
   }
 }
 
-TEST(MaterializationDifferentialTest, ShardedLazyMatchesUnshardedEager) {
-  Corpus corpus = TestCorpus();
-  RoxOptions rox;
-  rox.seed = 4321;
-  for (size_t shards : {1u, 4u}) {
-    ThreadPool pool(shards);
-    ShardedCorpus sc(corpus, shards, &pool);
-    ShardedExec ex;
-    ex.shards = &sc;
-    ex.pool = &pool;
-    for (const std::string& q : DifferentialQueries()) {
-      RoxOptions sharded_rox = rox;
-      sharded_rox.sharded = &ex;
-      RoxStats stats;
-      std::vector<Pre> lazy_sharded =
-          RunWithOptions(corpus, q, sharded_rox, true, &stats);
-      EXPECT_EQ(RunWithOptions(corpus, q, rox, false), lazy_sharded)
-          << shards << " shards";
-    }
-  }
-}
-
 TEST(MaterializationDifferentialTest, EngineFlagKeepsResultsIdentical) {
   std::vector<std::shared_ptr<const std::vector<Pre>>> results;
   for (bool lazy : {false, true}) {
@@ -316,8 +291,8 @@ TEST(MaterializationDifferentialTest, ClassicalExecutorLazyMatchesEager) {
   auto corpus = bench::ComboCorpus(combos[0], gen);
   ASSERT_TRUE(corpus.ok());
   std::vector<DocId> docs = {0, 1, 2, 3};
-  CanonicalPlanExecutor eager(*corpus, docs, nullptr, /*lazy=*/false);
-  CanonicalPlanExecutor lazy(*corpus, docs, nullptr, /*lazy=*/true);
+  CanonicalPlanExecutor eager(*corpus, docs, /*lazy=*/false);
+  CanonicalPlanExecutor lazy(*corpus, docs, /*lazy=*/true);
   int checked = 0;
   for (const JoinOrder& order : EnumerateJoinOrders4()) {
     if (++checked > 4) break;  // a few orders x all placements suffice

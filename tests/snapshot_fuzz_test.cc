@@ -5,9 +5,9 @@
 // concurrent RunBatch over generated XMark-/DBLP-flavored queries;
 // every result must byte-match a fresh single-epoch Engine built from
 // that query's pinned snapshot. The reference engine deliberately runs
-// the *other* materialization mode, a single shard, no cache, and a
-// different optimizer seed, so one comparison covers live-vs-fresh,
-// lazy-vs-eager, sharded-vs-unsharded and seed independence at once.
+// the *other* materialization mode, no cache, and a different
+// optimizer seed, so one comparison covers live-vs-fresh,
+// lazy-vs-eager and seed independence at once.
 //
 // Environment knobs (the CI sanitizer legs raise the iteration count):
 //   ROX_FUZZ_ITERS      iterations per configuration (default 40)
@@ -188,28 +188,19 @@ std::string MakeQuery(Rng& rng, const NameBook& names) {
 
 // --- the differential harness ----------------------------------------------
 
-struct FuzzConfig {
-  size_t shards;
-  bool lazy;
-};
-
-std::string Describe(const FuzzConfig& cfg, uint64_t iter,
-                     const std::string& query) {
-  return "shards=" + std::to_string(cfg.shards) +
-         " lazy=" + std::to_string(cfg.lazy) +
-         " iter=" + std::to_string(iter) + " query=[" + query + "]";
+std::string Describe(bool lazy, uint64_t iter, const std::string& query) {
+  return "lazy=" + std::to_string(lazy) + " iter=" + std::to_string(iter) +
+         " query=[" + query + "]";
 }
 
-void RunDifferentialFuzz(const FuzzConfig& cfg) {
+void RunDifferentialFuzz(bool lazy) {
   const uint64_t seed = EnvU64("ROX_FUZZ_SEED", kDefaultSeed);
   const uint64_t iters = EnvU64("ROX_FUZZ_ITERS", 40);
-  Rng rng(seed ^ (cfg.shards * 0x9e3779b97f4a7c15ULL) ^
-          (cfg.lazy ? 0x1337 : 0));
+  Rng rng(seed ^ 0x9e3779b97f4a7c15ULL ^ (lazy ? 0x1337 : 0));
 
   engine::EngineOptions live_opts;
   live_opts.num_threads = 4;
-  live_opts.num_shards = cfg.shards;
-  live_opts.lazy_materialization = cfg.lazy;
+  live_opts.lazy_materialization = lazy;
   live_opts.rox.tau = 20;
   live_opts.rox.seed = seed;
   // Record spans on every live query: any mismatch dumps the trace,
@@ -218,13 +209,12 @@ void RunDifferentialFuzz(const FuzzConfig& cfg) {
   live_opts.trace_level = obs::TraceLevel::kSpans;
 
   // The reference runs everything the live engine does NOT: other
-  // materialization mode, one shard, no cache, fresh seed.
+  // materialization mode, no cache, fresh seed.
   engine::EngineOptions ref_opts;
   ref_opts.num_threads = 1;
-  ref_opts.num_shards = 1;
   ref_opts.enable_cache = false;
-  ref_opts.lazy_materialization = !cfg.lazy;
-  ref_opts.rox.lazy_materialization = !cfg.lazy;
+  ref_opts.lazy_materialization = !lazy;
+  ref_opts.rox.lazy_materialization = !lazy;
   ref_opts.rox.tau = 20;
 
   NameBook names;
@@ -310,10 +300,10 @@ void RunDifferentialFuzz(const FuzzConfig& cfg) {
       if (r.ok() != rr.ok() ||
           (r.ok() && *r.items != *rr.items) ||
           (!r.ok() && r.status.code() != rr.status.code())) {
-        DumpSeed(seed, Describe(cfg, iter, queries[i]));
-        DumpTrace(r, Describe(cfg, iter, queries[i]));
-        FAIL() << "differential mismatch at " << Describe(cfg, iter, queries[i])
-               << "\n  live: "
+        const std::string where = Describe(lazy, iter, queries[i]);
+        DumpSeed(seed, where);
+        DumpTrace(r, where);
+        FAIL() << "differential mismatch at " << where << "\n  live: "
                << (r.ok() ? std::to_string(r.items->size()) + " items"
                           : r.status.ToString())
                << " (epoch " << r.epoch << ")\n  ref:  "
@@ -335,21 +325,9 @@ void RunDifferentialFuzz(const FuzzConfig& cfg) {
   EXPECT_EQ(live.CurrentEpoch(), expected_publishes);
 }
 
-TEST(SnapshotFuzzTest, DifferentialShards1LazyOn) {
-  RunDifferentialFuzz({.shards = 1, .lazy = true});
-}
+TEST(SnapshotFuzzTest, DifferentialLazyOn) { RunDifferentialFuzz(true); }
 
-TEST(SnapshotFuzzTest, DifferentialShards1LazyOff) {
-  RunDifferentialFuzz({.shards = 1, .lazy = false});
-}
-
-TEST(SnapshotFuzzTest, DifferentialShards4LazyOn) {
-  RunDifferentialFuzz({.shards = 4, .lazy = true});
-}
-
-TEST(SnapshotFuzzTest, DifferentialShards4LazyOff) {
-  RunDifferentialFuzz({.shards = 4, .lazy = false});
-}
+TEST(SnapshotFuzzTest, DifferentialLazyOff) { RunDifferentialFuzz(false); }
 
 // --- governed differential fuzz (DESIGN.md §13) ------------------------------
 //

@@ -1,7 +1,6 @@
 // Tests for corpus versioning (DESIGN.md §10): CorpusBuilder copy-on-
-// write deltas, CorpusSnapshot pinning, incremental ShardedCorpus
-// rebuilds, live Engine ingestion, and the epoch-keyed query cache
-// (stale hits must be impossible).
+// write deltas, CorpusSnapshot pinning, live Engine ingestion, and the
+// epoch-keyed query cache (stale hits must be impossible).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 #include "engine/engine.h"
 #include "index/corpus.h"
-#include "index/sharded_corpus.h"
 #include "xq/compile.h"
 
 namespace rox {
@@ -144,36 +142,6 @@ TEST(CorpusSnapshotTest, UnownedSnapshotFromReference) {
   EXPECT_EQ(&*snap, &corpus);
 }
 
-// --- incremental ShardedCorpus ---------------------------------------------
-
-TEST(ShardedCorpusTest, IncrementalRebuildSharesUnchangedDocuments) {
-  Corpus base = MakeBaseCorpus();
-  ShardedCorpus sc1(base, 4, nullptr);
-  EXPECT_EQ(sc1.rebuilt_docs(), 2u);
-  EXPECT_EQ(sc1.reused_docs(), 0u);
-
-  CorpusBuilder builder(base);
-  ASSERT_TRUE(builder.AddXml(LibraryXml(6), "c.xml").ok());
-  ASSERT_TRUE(builder.Remove("b.xml").ok());
-  Corpus next = std::move(builder).Build();
-  ShardedCorpus sc2(next, sc1, nullptr);
-
-  EXPECT_EQ(sc2.num_shards(), 4u);
-  EXPECT_EQ(sc2.reused_docs(), 1u);   // a.xml
-  EXPECT_EQ(sc2.rebuilt_docs(), 1u);  // c.xml; b.xml is tombstoned
-  // Shared by pointer, not rebuilt: the unchanged document's shard
-  // indexes are the very same objects.
-  for (size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(&sc2.element_index(0, s), &sc1.element_index(0, s));
-    EXPECT_EQ(&sc2.value_index(0, s), &sc1.value_index(0, s));
-    EXPECT_EQ(sc2.range(0, s).begin, sc1.range(0, s).begin);
-  }
-  // The new document got fresh shards covering all its nodes.
-  DocId c = *next.Resolve("c.xml");
-  EXPECT_EQ(sc2.range(c, 0).begin, 0u);
-  EXPECT_EQ(sc2.range(c, 3).end, next.doc(c).NodeCount());
-}
-
 // --- live Engine ingestion --------------------------------------------------
 
 constexpr char kCountBooksA[] = "for $b in doc(\"a.xml\")//book return $b";
@@ -252,27 +220,6 @@ TEST(EngineIngestTest, RemoveDocumentHidesItFromNewQueriesOnly) {
   engine::EngineStats stats = eng.Stats();
   EXPECT_EQ(stats.docs_removed, 1u);
   EXPECT_EQ(stats.publishes, 1u);
-}
-
-TEST(EngineIngestTest, ShardedEngineMatchesUnshardedAcrossEpochs) {
-  engine::EngineOptions sharded;
-  sharded.num_shards = 4;
-  engine::Engine eng(MakeBaseCorpus(), sharded);
-  engine::Engine flat(MakeBaseCorpus());
-
-  auto step = [&](engine::Engine& e) {
-    EXPECT_TRUE(e.AddDocuments({{"c.xml", LibraryXml(7)}}).ok());
-    EXPECT_TRUE(e.RemoveDocument("b.xml").ok());
-  };
-  step(eng);
-  step(flat);
-  for (const char* q : {kCountBooksA, kCountBooksC}) {
-    engine::QueryResult rs = eng.Run(q);
-    engine::QueryResult rf = flat.Run(q);
-    ASSERT_TRUE(rs.ok()) << rs.status.ToString();
-    ASSERT_TRUE(rf.ok()) << rf.status.ToString();
-    EXPECT_EQ(*rs.items, *rf.items) << q;
-  }
 }
 
 // --- epoch-keyed caching (the regression satellite) ------------------------

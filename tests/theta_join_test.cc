@@ -6,9 +6,9 @@
 //    assembly, plan tail) cannot agree on a shared wrong answer;
 //  * a randomized differential suite — generated range-/inequality-
 //    join queries over the XMark + DBLP workloads, byte-compared
-//    across {eager, lazy} × {1, 4 shards} and against the classical
-//    static-plan executor, which shares the kernels but none of the
-//    run-time sampling machinery.
+//    across {eager, lazy} and against the classical static-plan
+//    executor, which shares the kernels but none of the run-time
+//    sampling machinery.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +21,6 @@
 
 #include "classical/static_optimizer.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "index/sharded_corpus.h"
 #include "workload/dblp.h"
 #include "workload/xmark.h"
 #include "xq/compile.h"
@@ -67,12 +65,11 @@ Corpus TestCorpus() {
 
 std::vector<Pre> RunMode(const Corpus& corpus,
                          const xq::CompiledQuery& compiled, bool lazy,
-                         const ShardedExec* ex, uint64_t tau = 20) {
+                         uint64_t tau = 20) {
   RoxOptions rox;
   rox.seed = 77;
   rox.tau = tau;
   rox.lazy_materialization = lazy;
-  rox.sharded = ex;
   auto items = xq::RunXQuery(corpus, compiled, rox);
   EXPECT_TRUE(items.ok()) << items.status().ToString();
   return items.ok() ? *items : std::vector<Pre>{};
@@ -178,7 +175,7 @@ TEST_F(ThetaJoinOracleTest, QuantityIncreaseMatchesBruteForce) {
     auto compiled =
         xq::CompileXQuery(corpus_, XmarkQuantityIncreaseQuery(op));
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    std::vector<Pre> got = RunMode(corpus_, *compiled, true, nullptr);
+    std::vector<Pre> got = RunMode(corpus_, *compiled, true);
     EXPECT_EQ(got, expected) << "op " << CmpOpName(op);
     EXPECT_FALSE(got.empty()) << "op " << CmpOpName(op);
   }
@@ -221,7 +218,7 @@ TEST_F(ThetaJoinOracleTest, DisjunctiveQuantityMatchesBruteForce) {
   auto compiled =
       xq::CompileXQuery(corpus_, XmarkDisjunctiveQuantityQuery(1, 4));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  std::vector<Pre> got = RunMode(corpus_, *compiled, true, nullptr);
+  std::vector<Pre> got = RunMode(corpus_, *compiled, true);
   EXPECT_EQ(got, expected);
   EXPECT_FALSE(got.empty());
 
@@ -230,7 +227,7 @@ TEST_F(ThetaJoinOracleTest, DisjunctiveQuantityMatchesBruteForce) {
   auto single = [&](int q) {
     auto c = xq::CompileXQuery(corpus_, XmarkDisjunctiveQuantityQuery(q, q));
     ROX_CHECK_OK(c.status());
-    return RunMode(corpus_, *c, true, nullptr);
+    return RunMode(corpus_, *c, true);
   };
   EXPECT_EQ(single(1).size() + single(4).size(), got.size());
 }
@@ -265,26 +262,18 @@ std::vector<std::string> GeneratedThetaQueries(Rng& rng, int count) {
   return out;
 }
 
-TEST(ThetaJoinDifferentialTest, ModesAndShardsAndStaticPlansAgree) {
+TEST(ThetaJoinDifferentialTest, ModesAndStaticPlansAgree) {
   Corpus corpus = TestCorpus();
   Rng rng(0x7be7a);
   std::vector<std::string> queries = GeneratedThetaQueries(rng, 24);
-
-  ThreadPool pool(4);
-  ShardedCorpus sc(corpus, 4, &pool);
-  ShardedExec ex;
-  ex.shards = &sc;
-  ex.pool = &pool;
 
   size_t nonempty = 0;
   for (const std::string& q : queries) {
     auto compiled = xq::CompileXQuery(corpus, q);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString() << "\n" << q;
-    std::vector<Pre> baseline = RunMode(corpus, *compiled, false, nullptr);
+    std::vector<Pre> baseline = RunMode(corpus, *compiled, false);
     nonempty += !baseline.empty();
-    EXPECT_EQ(baseline, RunMode(corpus, *compiled, true, nullptr)) << q;
-    EXPECT_EQ(baseline, RunMode(corpus, *compiled, false, &ex)) << q;
-    EXPECT_EQ(baseline, RunMode(corpus, *compiled, true, &ex)) << q;
+    EXPECT_EQ(baseline, RunMode(corpus, *compiled, true)) << q;
     auto statically = RunStaticXQuery(corpus, *compiled);
     ASSERT_TRUE(statically.ok()) << statically.status().ToString() << "\n"
                                  << q;
@@ -302,11 +291,11 @@ TEST(ThetaJoinDifferentialTest, CutOffSamplingKeepsModesIdentical) {
   for (const std::string& q : GeneratedThetaQueries(rng, 8)) {
     auto compiled = xq::CompileXQuery(corpus, q);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    EXPECT_EQ(RunMode(corpus, *compiled, false, nullptr, /*tau=*/5),
-              RunMode(corpus, *compiled, true, nullptr, /*tau=*/5))
+    EXPECT_EQ(RunMode(corpus, *compiled, false, /*tau=*/5),
+              RunMode(corpus, *compiled, true, /*tau=*/5))
         << q;
-    EXPECT_EQ(RunMode(corpus, *compiled, false, nullptr, /*tau=*/5),
-              RunMode(corpus, *compiled, true, nullptr, /*tau=*/100))
+    EXPECT_EQ(RunMode(corpus, *compiled, false, /*tau=*/5),
+              RunMode(corpus, *compiled, true, /*tau=*/100))
         << q;
   }
 }

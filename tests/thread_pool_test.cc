@@ -113,55 +113,5 @@ TEST(ThreadPoolTest, CancelledBacklogDrainsThroughDestructor) {
   EXPECT_EQ(worked.load(), 0);
 }
 
-TEST(ThreadPoolTest, ParallelForExceptionRacesCancellation) {
-  // One lane throws while the others concurrently cancel the shared
-  // token and bail out: the exception must still reach the caller, the
-  // done-accounting must not lose the cancelled lanes, and the pool
-  // must stay usable.
-  ThreadPool pool(4);
-  CancellationToken token;
-  EXPECT_THROW(
-      ParallelFor(&pool, 64,
-                  [&](size_t i) {
-                    if (i == 0) throw std::runtime_error("lane failure");
-                    token.Cancel();
-                    if (StopRequested(&token)) return;
-                  }),
-      std::runtime_error);
-  EXPECT_TRUE(token.StopRequested());
-  auto f = pool.Async([] { return 7; });
-  EXPECT_EQ(f.get(), 7);
-}
-
-TEST(ThreadPoolTest, CancelledCallerParticipationDoesNotDeadlock) {
-  // Every worker is pinned busy, so the ParallelFor caller must claim
-  // all iterations itself; with the token already tripped each claim
-  // returns immediately. The call completing (instead of waiting on
-  // workers that will never come) is the property under test.
-  ThreadPool pool(2);
-  std::atomic<bool> release{false};
-  for (int i = 0; i < 2; ++i) {
-    pool.Submit([&release] {
-      while (!release.load()) std::this_thread::yield();
-    });
-  }
-  CancellationToken token;
-  token.Cancel();
-  std::atomic<size_t> claimed{0};
-  std::future<void> done = std::async(std::launch::async, [&] {
-    ParallelFor(&pool, 128, [&](size_t) {
-      claimed.fetch_add(1);
-      if (StopRequested(&token)) return;
-      ADD_FAILURE() << "iteration ran real work despite cancelled token";
-    });
-  });
-  ASSERT_EQ(done.wait_for(std::chrono::seconds(30)),
-            std::future_status::ready);
-  done.get();
-  EXPECT_EQ(claimed.load(), 128u);
-  release.store(true);
-  pool.WaitIdle();
-}
-
 }  // namespace
 }  // namespace rox

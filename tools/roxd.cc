@@ -1,7 +1,7 @@
 // roxd — the ROX query server daemon.
 //
 //   $ roxd [--port=8080] [--host=127.0.0.1] [--num_threads=N]
-//          [--num_shards=K] [--max_concurrent=N] [--max_queued=N]
+//          [--max_concurrent=N] [--max_queued=N]
 //          [--cache_capacity=N] [--trace_level=off|spans|full]
 //          [--deadline_ms=N] [--memory_budget_mb=N]
 //          [file1.xml file2.xml ...]
@@ -76,7 +76,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--port=8080] [--host=127.0.0.1] [--num_threads=N]\n"
-      "          [--num_shards=K] [--max_concurrent=N] [--max_queued=N]\n"
+      "          [--max_concurrent=N] [--max_queued=N]\n"
       "          [--cache_capacity=N] [--trace_level=off|spans|full]\n"
       "          [--deadline_ms=N] [--memory_budget_mb=N]\n"
       "          [--max_response_rows=N] [files...]\n",
@@ -108,9 +108,6 @@ int main(int argc, char** argv) {
     } else if (key == "--num_threads") {
       if (!ParseLong(val, 1, 256, &v)) return Usage(argv[0]);
       eopts.num_threads = static_cast<size_t>(v);
-    } else if (key == "--num_shards") {
-      if (!ParseLong(val, 1, 1024, &v)) return Usage(argv[0]);
-      eopts.num_shards = static_cast<size_t>(v);
     } else if (key == "--max_concurrent") {
       if (!ParseLong(val, 0, 100000, &v)) return Usage(argv[0]);
       eopts.max_concurrent_queries = static_cast<size_t>(v);
