@@ -124,6 +124,10 @@ struct AblationCase {
   RoxOptions options;
 };
 
+// Without this, gtest names each case by a raw byte dump of the struct,
+// which holds a string pointer and padding and so differs between runs.
+void PrintTo(const AblationCase& c, std::ostream* os) { *os << c.name; }
+
 class RoxAblationTest : public ::testing::TestWithParam<AblationCase> {};
 
 TEST_P(RoxAblationTest, ResultInvariantUnderAblations) {
